@@ -7,14 +7,19 @@ the final chunk through the key itself. Worst case is one full scan per
 chunk: 4 * 2^32 block operations at the default width, 8 * 2^16 in the
 desk-scale test width.
 
-Scans run on the OpenSSL AES backend with candidate blocks batched per
-call, and partition cleanly across worker processes; the lowest matching
-chunk value wins, so results do not depend on the worker count. In test
-widths the whole range is scanned and uniqueness of the match is asserted.
+Data-stage scans run on the OpenSSL AES backend with candidate blocks
+batched per call. The slave stage varies the key instead, so it runs a
+numpy AES-256 over the whole batch of keys: the 32-bit T-table form of
+Daemen & Rijmen (The Design of Rijndael, 2002), one uint32 array per state
+column. Scans partition cleanly across worker processes; the lowest
+matching chunk value wins, so results do not depend on the worker count.
+In test widths the whole range is scanned and uniqueness of the match is
+asserted.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .aes import SBOX, _MUL2, _MUL3, _RCON, _SR_PERM
+from .aes import SBOX, gf_mul
 from .engine import BorrowArtifacts, slave_key_from_block
 
-__all__ = ["ArtifactMismatch", "BustResult", "bust", "recover_hidden", "bust_batch"]
+__all__ = ["ArtifactMismatch", "BustResult", "bust", "bust_batch"]
 
 _BATCH = 1 << 16
 # full-range scan plus uniqueness assertion at or below this chunk width
@@ -61,52 +66,54 @@ def _ecb_encrypt(key: bytes, data: bytes) -> bytes:
     return enc.update(data) + enc.finalize()
 
 
-_SBOX_NP = np.array(SBOX, dtype=np.uint8)
-_MUL2_NP = np.frombuffer(_MUL2, dtype=np.uint8)
-_MUL3_NP = np.frombuffer(_MUL3, dtype=np.uint8)
-_SR_PERM_NP = np.array(_SR_PERM, dtype=np.intp)
+# Column words are big-endian: row 0 is the top byte. _S_ROWS[r][x] places
+# S[x] in row r; _T[r][x] is the MixColumns image of S[x] entering at row r,
+# (2, 1, 1, 3) * S[x] for r = 0 and rotated right one byte per row.
+_S32 = np.array(SBOX, dtype=np.uint32)
+_S_ROWS = [_S32 << 24 - 8 * r for r in range(4)]
+_T0 = np.array([gf_mul(s, 2) << 24 | s << 16 | s << 8 | gf_mul(s, 3) for s in SBOX], dtype=np.uint32)
+_T = [_T0] + [_T0 >> 8 * r | _T0 << 32 - 8 * r for r in (1, 2, 3)]
+
+
+def _lookup(tables: list, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """XOR of tables[0..3] at row 0 of a, row 1 of b, row 2 of c and row 3 of d."""
+    return (
+        np.take(tables[0], a >> 24) ^ np.take(tables[1], b >> 16 & 0xFF)
+        ^ np.take(tables[2], c >> 8 & 0xFF) ^ np.take(tables[3], d & 0xFF)
+    )
 
 
 def _encrypt_block_under_keys(keys: np.ndarray, block: bytes) -> np.ndarray:
     """AES-256 encrypt one block under many keys at once.
 
     The slave-stage scan varies the *key* per candidate, which defeats the
-    batched-ECB trick used for the data stages; running the schedule and
-    rounds as whole-array table lookups keeps that stage at scan speed too.
+    batched-ECB trick used for the data stages. Here each key schedule word
+    and state column is one uint32 array over the batch, and a round is 16
+    T-table gathers (SubBytes, ShiftRows and MixColumns in one step) plus
+    XORs; the final round gathers from S-box tables shifted into each row.
+    The schedule is expanded 8 words at a time, as rounds need them.
     keys is (n, 32) uint8; returns the (n, 16) ciphertext array.
     """
-    n = len(keys)
-    words = [np.ascontiguousarray(keys[:, 4 * i:4 * i + 4]) for i in range(8)]
-    for i in range(8, 60):
-        tmp = words[i - 1]
-        if i % 8 == 0:
-            tmp = _SBOX_NP[np.roll(tmp, -1, axis=1)]
-            tmp[:, 0] ^= _RCON[i // 8 - 1]
-        elif i % 8 == 4:
-            tmp = _SBOX_NP[tmp]
-        words.append(words[i - 8] ^ tmp)
-    round_keys = [
-        np.concatenate(words[4 * r:4 * r + 4], axis=1) for r in range(15)
-    ]
-
-    # row index sets of the flat column-major state
-    rows = [np.arange(r, 16, 4) for r in range(4)]
-    state = np.empty((n, 16), dtype=np.uint8)
-    state[:] = np.frombuffer(block, dtype=np.uint8)
-    state ^= round_keys[0]
+    words = np.ascontiguousarray(keys, dtype=np.uint8).view(">u4")
+    w = [words[:, i].astype(np.uint32) for i in range(8)]  # the 8 newest schedule words
+    state = [w[c] ^ np.uint32(x) for c, x in enumerate(np.frombuffer(block, dtype=">u4"))]
+    rcon = 1
     for r in range(1, 15):
-        state = _SBOX_NP[state][:, _SR_PERM_NP]
-        if r < 14:
-            m2, m3 = _MUL2_NP[state], _MUL3_NP[state]
-            mixed = np.empty_like(state)
-            i0, i1, i2, i3 = rows
-            mixed[:, i0] = m2[:, i0] ^ m3[:, i1] ^ state[:, i2] ^ state[:, i3]
-            mixed[:, i1] = state[:, i0] ^ m2[:, i1] ^ m3[:, i2] ^ state[:, i3]
-            mixed[:, i2] = state[:, i0] ^ state[:, i1] ^ m2[:, i2] ^ m3[:, i3]
-            mixed[:, i3] = m3[:, i0] ^ state[:, i1] ^ state[:, i2] ^ m2[:, i3]
-            state = mixed
-        state ^= round_keys[r]
-    return state
+        if r % 2 == 0:  # round r takes schedule words 4r .. 4r+3
+            for i in range(8):
+                t = w[-1]
+                if i % 4 == 0:
+                    t = _lookup(_S_ROWS, t, t, t, t)
+                if i == 0:
+                    t = (t << 8 | t >> 24) ^ np.uint32(rcon << 24)
+                    rcon = gf_mul(rcon, 2)
+                w.append(w[-8] ^ t)
+            del w[:8]
+        k = w[4 * (r % 2):4 * (r % 2) + 4]
+        tables = _T if r < 14 else _S_ROWS
+        # ShiftRows: row j of column c comes from column c + j (mod 4)
+        state = [_lookup(tables, state[c], state[c - 3], state[c - 2], state[c - 1]) ^ k[c] for c in range(4)]
+    return np.stack(state, axis=1).astype(">u4").view(np.uint8)
 
 
 def _stage_layout(stage: int, chunk: int, borrow: str) -> tuple[int, slice, slice]:
@@ -118,34 +125,43 @@ def _stage_layout(stage: int, chunk: int, borrow: str) -> tuple[int, slice, slic
     return 16 - lo - chunk, slice(lo, lo + chunk), slice(0, lo)
 
 
-def _scan_data_stage(
-    fixed_key: bytes,
+def _scan(
+    template: bytes,
+    window: slice,
+    fixed_key: bytes | None,
     target: bytes,
-    chunk_window: slice,
-    known_window: slice,
-    known: bytes,
-    chunk: int,
     exhaustive: bool,
     start: int,
     stop: int,
 ) -> tuple[list[int], int]:
-    """Scan [start, stop) chunk values; return (matches, candidates tried)."""
-    template = np.zeros((_BATCH, 16), dtype=np.uint8)
-    template[:, known_window] = np.frombuffer(known, dtype=np.uint8)
-    target_row = np.frombuffer(target, dtype=np.uint8)
-    enc = Cipher(algorithms.AES(fixed_key), modes.ECB()).encryptor()
+    """Scan chunk values [start, stop); return (matches, candidates tried).
 
+    Each value is written big-endian into window of template. With a
+    fixed_key the template is a plaintext block and a batch is one OpenSSL
+    ECB call (a data stage); without, it is an AES-256 key that encrypts the
+    zero block (the slave stage). A row matches when its first 8 ciphertext
+    bytes equal the target's, one uint64 compare, and then all 16 bytes do.
+    """
+    chunk = window.stop - window.start
+    rows = np.tile(np.frombuffer(template, dtype=np.uint8), (_BATCH, 1))
+    enc = Cipher(algorithms.AES(fixed_key), modes.ECB()).encryptor() if fixed_key else None
+    out = bytearray(16 * _BATCH + 15)  # update_into wants one block of slack
+    head = np.frombuffer(target, dtype=np.uint64)[0]
+    target_row = np.frombuffer(target, dtype=np.uint8)
     matches: list[int] = []
     tried = 0
     for base in range(start, stop, _BATCH):
         count = min(_BATCH, stop - base)
-        rows = template[:count]
-        values = np.arange(base, base + count, dtype=np.uint64)
-        for j in range(chunk):  # big-endian chunk bytes
-            rows[:, chunk_window.start + j] = (values >> (8 * (chunk - 1 - j))).astype(np.uint8)
-        cts = np.frombuffer(enc.update(rows.tobytes()), dtype=np.uint8).reshape(-1, 16)
+        batch = rows[:count]
+        values = np.arange(base, base + count, dtype=">u4").view(np.uint8).reshape(count, 4)
+        batch[:, window] = values[:, 4 - chunk:]
+        if enc:
+            cts = np.frombuffer(out, dtype=np.uint8, count=enc.update_into(batch, out)).reshape(count, 16)
+        else:
+            cts = _encrypt_block_under_keys(batch, bytes(16))
         tried += count
-        hits = np.nonzero((cts == target_row).all(axis=1))[0]
+        hits = np.flatnonzero(cts.view(np.uint64)[:, 0] == head)
+        hits = hits[(cts[hits] == target_row).all(axis=1)]
         if len(hits):
             matches.extend(int(base + h) for h in hits)
             if not exhaustive:
@@ -153,48 +169,16 @@ def _scan_data_stage(
     return matches, tried
 
 
-def _scan_slave_stage(
-    known: bytes,
-    target: bytes,
-    chunk: int,
-    borrow: str,
-    exhaustive: bool,
-    start: int,
-    stop: int,
-) -> tuple[list[int], int]:
-    target_row = np.frombuffer(target, dtype=np.uint8)
-    known_arr = np.frombuffer(known, dtype=np.uint8)
-    chunk_at = 0 if borrow == "tail" else 16 - chunk
-    known_at = slice(chunk, 16) if borrow == "tail" else slice(0, 16 - chunk)
-
-    matches: list[int] = []
-    tried = 0
-    for base in range(start, stop, _BATCH):
-        count = min(_BATCH, stop - base)
-        keys = np.zeros((count, 32), dtype=np.uint8)  # written half zero, per slot semantics
-        keys[:, known_at] = known_arr
-        values = np.arange(base, base + count, dtype=np.uint64)
-        for j in range(chunk):
-            keys[:, chunk_at + j] = (values >> (8 * (chunk - 1 - j))).astype(np.uint8)
-        cts = _encrypt_block_under_keys(keys, bytes(16))
-        tried += count
-        hits = np.nonzero((cts == target_row).all(axis=1))[0]
-        if len(hits):
-            matches.extend(int(base + h) for h in hits)
-            if not exhaustive:
-                break
-    return matches, tried
-
-
-def _run_partitioned(worker: Callable, args: tuple, space: int, workers: int) -> tuple[list[int], int]:
+def _run_partitioned(args: tuple, space: int, workers: int) -> tuple[list[int], int]:
+    """_scan(*args) over [0, space), split into one range per worker process."""
     if workers <= 1:
-        return worker(*args, 0, space)
+        return _scan(*args, 0, space)
     bounds = [space * i // workers for i in range(workers + 1)]
     ranges = [(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
     matches: list[int] = []
     tried = 0
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(worker, *args, lo, hi) for lo, hi in ranges]
+        futures = [pool.submit(_scan, *args, lo, hi) for lo, hi in ranges]
         for fut in futures:
             got, n = fut.result()
             matches.extend(got)
@@ -214,10 +198,13 @@ def bust(
     (``borrow="head"`` mirrors everything for the other hardware reading).
     The reconstruction is re-verified against every artifact before it is
     returned. Raises ArtifactMismatch naming the first stage with no
-    solution.
+    solution. workers is capped at the CPU count; below 1 is a ValueError.
     """
     if borrow not in ("tail", "head"):
         raise ValueError(f"borrow must be 'tail' or 'head', got {borrow!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     chunk = art.chunk_bits // 8
     space = 1 << art.chunk_bits
     exhaustive = art.chunk_bits <= _EXHAUSTIVE_LIMIT
@@ -229,11 +216,10 @@ def bust(
         zeros, chunk_window, known_window = _stage_layout(stage, chunk, borrow)
         if progress:
             progress(f"stage {stage + 1}/{len(art.stage_cts)}: scanning {space} chunks")
+        block = bytearray(16)
+        block[known_window] = known
         matches, tried = _run_partitioned(
-            _scan_data_stage,
-            (art.fixed_key, target, chunk_window, known_window, known, chunk, exhaustive),
-            space,
-            workers,
+            (bytes(block), chunk_window, art.fixed_key, target, exhaustive), space, workers
         )
         aes_ops += tried
         if not matches:
@@ -245,9 +231,9 @@ def bust(
 
     if progress:
         progress(f"slave stage: scanning {space} keys")
-    matches, tried = _run_partitioned(
-        _scan_slave_stage, (known, art.slave_ct, chunk, borrow, exhaustive), space, workers
-    )
+    slot_key = slave_key_from_block(bytes(chunk) + known if borrow == "tail" else known + bytes(chunk))
+    chunk_at = slice(0, chunk) if borrow == "tail" else slice(16 - chunk, 16)
+    matches, tried = _run_partitioned((slot_key, chunk_at, None, art.slave_ct, exhaustive), space, workers)
     aes_ops += tried
     if not matches:
         raise ArtifactMismatch("slave")
@@ -271,10 +257,6 @@ def _verify(art: BorrowArtifacts, hidden: bytes, borrow: str) -> None:
             raise ArtifactMismatch(f"stage {stage + 1} of {len(art.stage_cts)} (verification)")
     if _ecb_encrypt(slave_key_from_block(hidden), bytes(16)) != art.slave_ct:
         raise ArtifactMismatch("slave (verification)")
-
-
-def recover_hidden(art: BorrowArtifacts, workers: int = 1, borrow: str = "tail") -> bytes:
-    return bust(art, workers=workers, borrow=borrow).hidden
 
 
 def bust_batch(

@@ -264,7 +264,10 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
 
 @main.command()
 @click.argument("artifacts", type=click.File("r"))
-@click.option("--workers", type=int, default=1, show_default=True, help="Keyspace scan processes.")
+@click.option(
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True,
+    help="Keyspace scan processes, at most the CPU count.",
+)
 @click.option("--borrow", type=click.Choice(["tail", "head"]), default="tail", show_default=True)
 def bust(artifacts, workers, borrow):
     """Reconstruct hidden blocks from borrow-chain artifact JSON.

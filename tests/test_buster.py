@@ -1,9 +1,14 @@
 import random
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aesdfa import buster
 from aesdfa.aes import encrypt_block, expand_key
-from aesdfa.buster import ArtifactMismatch, bust, bust_batch, recover_hidden
+from aesdfa.buster import ArtifactMismatch, _ecb_encrypt, _encrypt_block_under_keys, bust, bust_batch
 from aesdfa.engine import BorrowArtifacts, KeyslotEngine, run_borrow_chain, slave_key_from_block
 
 FIXED = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -39,7 +44,7 @@ def test_engine_chain_roundtrip():
     rng = random.Random(3)
     for _ in range(5):
         hidden = bytes(rng.randrange(256) for _ in range(16))
-        assert recover_hidden(chain_for(hidden)) == hidden
+        assert bust(chain_for(hidden)).hidden == hidden
 
 
 def test_synthetic_equals_engine_chain():
@@ -62,6 +67,17 @@ def test_worker_partitioning_is_deterministic():
     assert results == [hidden] * 3
 
 
+@pytest.mark.parametrize("borrow", ["tail", "head"])
+def test_scan_over_many_batches(monkeypatch, borrow):
+    # at the 16-bit width one batch holds a whole scan; a small odd batch
+    # exercises the batch loop, its short last batch and the buffer reuse
+    monkeypatch.setattr(buster, "_BATCH", 4099)
+    hidden = bytes(random.Random(15).randrange(256) for _ in range(16))
+    result = bust(synthetic_artifacts(hidden, borrow=borrow), borrow=borrow)
+    assert result.hidden == hidden
+    assert result.aes_ops == 8 * (1 << 16)
+
+
 def test_tampered_stage_two_is_named():
     hidden = bytes(random.Random(6).randrange(256) for _ in range(16))
     art = chain_for(hidden)
@@ -78,6 +94,24 @@ def test_tampered_slave_is_named():
     tampered = BorrowArtifacts(art.stage_cts, bytes(16), art.fixed_key, art.chunk_bits)
     with pytest.raises(ArtifactMismatch, match="slave"):
         bust(tampered)
+
+
+@pytest.mark.parametrize("which", ["stage", "slave"])
+def test_first_half_match_is_not_a_match(which):
+    # a ciphertext that agrees with the true one in its first 8 bytes only
+    # passes the uint64 screen; the 16-byte confirm must still reject it
+    hidden = bytes(random.Random(14).randrange(256) for _ in range(16))
+    art = synthetic_artifacts(hidden)
+    if which == "stage":
+        ct = art.stage_cts[0]
+        art = BorrowArtifacts((ct[:8] + bytes(8),) + art.stage_cts[1:], art.slave_ct, FIXED, 16)
+        expected = "stage 1 of 7"
+    else:
+        art = BorrowArtifacts(art.stage_cts, art.slave_ct[:8] + bytes(8), FIXED, 16)
+        expected = "slave"
+    with pytest.raises(ArtifactMismatch) as err:
+        bust(art)
+    assert err.value.stage == expected
 
 
 def test_wrong_fixed_key_fails_at_stage_one():
@@ -104,12 +138,12 @@ def test_bust_batch():
 def test_head_borrow_variant():
     hidden = bytes(random.Random(10).randrange(256) for _ in range(16))
     art = synthetic_artifacts(hidden, borrow="head")
-    assert recover_hidden(art, borrow="head") == hidden
+    assert bust(art, borrow="head").hidden == hidden
 
 
 def test_eight_bit_chunks():
     hidden = bytes(random.Random(11).randrange(256) for _ in range(16))
-    assert recover_hidden(chain_for(hidden, chunk_bits=8)) == hidden
+    assert bust(chain_for(hidden, chunk_bits=8)).hidden == hidden
 
 
 def test_throughput_is_reported():
@@ -119,10 +153,6 @@ def test_throughput_is_reported():
 
 
 def test_vectorized_key_scan_matches_oracle():
-    import numpy as np
-
-    from aesdfa.buster import _ecb_encrypt, _encrypt_block_under_keys
-
     rng = random.Random(20)
     keys = np.array(
         [[rng.randrange(256) for _ in range(32)] for _ in range(200)], dtype=np.uint8
@@ -131,3 +161,64 @@ def test_vectorized_key_scan_matches_oracle():
     cts = _encrypt_block_under_keys(keys, block)
     for row, ct in zip(keys, cts):
         assert bytes(ct) == _ecb_encrypt(bytes(row), block)
+
+
+@given(
+    n=st.sampled_from([1, 3, 17, 255, 1031]),
+    layout=st.sampled_from(["random", "tail", "head"]),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.one_of(st.just(bytes(16)), st.binary(min_size=16, max_size=16)),
+)
+@settings(max_examples=40, deadline=None)
+def test_key_kernel_matches_openssl(n, layout, seed, block):
+    # "tail"/"head" keys look like slave-slot candidates: a zero upper half
+    # and one shared known part, with the chunk bytes varying at the head
+    # (tail borrow) or the tail (head borrow) of the written half
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 256, (n, 32), dtype=np.uint8)
+    if layout != "random":
+        chunk = int(rng.integers(1, 5))
+        known = slice(chunk, 16) if layout == "tail" else slice(0, 16 - chunk)
+        keys[:, known] = keys[0, known]
+        keys[:, 16:] = 0
+    cts = _encrypt_block_under_keys(keys, block)
+    assert cts.shape == (n, 16)
+    for row, ct in zip(keys, cts):
+        assert bytes(ct) == _ecb_encrypt(bytes(row), block)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        bust(synthetic_artifacts(bytes(16)), workers=workers)
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in that runs each range in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(None, None), (1, None), (2, 2), (3, 3)])
+def test_workers_clamped_to_cpu_count(monkeypatch, cpus, pool_size):
+    monkeypatch.setattr(buster.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(buster, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    hidden = bytes(random.Random(13).randrange(256) for _ in range(16))
+    assert bust(synthetic_artifacts(hidden), workers=1 << 16).hidden == hidden
+    # 7 data stages plus the slave stage, each split over at most the CPU count
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size] * 8)

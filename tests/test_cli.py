@@ -232,6 +232,12 @@ class TestBust:
         result = runner.invoke(main, ["bust", str(path)])
         assert result.exit_code == 2
 
+    def test_workers_below_one(self, runner, tmp_path):
+        path = self.artifact_file(tmp_path, [bytes(range(16))])
+        result = runner.invoke(main, ["bust", str(path), "--workers", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
 
 class TestHistogramAllClean:
     def test_empty_histograms(self, runner, tmp_path):
