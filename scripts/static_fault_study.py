@@ -11,13 +11,11 @@ and the key falls out anyway.
 import argparse
 import random
 
-from aesdfa.orchestrator import attack_pairwise, attack_second_order
+from aesdfa.aes import AesOp, StepId, expand_key
+from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign
+from aesdfa.orchestrator import recover_key
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from simhelpers import fault_campaign  # noqa: E402
+R2_OFFSET, R3_OFFSET = 271.5, 272.25
 
 
 def main():
@@ -30,23 +28,37 @@ def main():
     rng = random.Random(args.seed)
     key = bytes(rng.randrange(256) for _ in range(32))
     pt = bytes(rng.randrange(256) for _ in range(16))
+    n_rounds = expand_key(key).n_rounds
 
     z = bytearray(16)
     for pos in rng.sample(range(1, 16), args.static_bytes):
         z[pos] = rng.randrange(1, 256)
     print(f"shared static mask: {bytes(z).hex()}")
 
-    clean, r2, r3 = fault_campaign(
-        key, pt, rng,
-        n_r2=args.samples, n_r3=args.samples,
-        static_mask=bytes(z), pinned_pos=0,
-    )
+    # one campaign per offset, so each pool gets exactly --samples faults;
+    # the dynamic fault stays in byte 0, and 4 flipped bits of 8 give 70
+    # masks, so two runs rarely repeat a fault
+    pools = []
+    for offset, rnd in ((R2_OFFSET, n_rounds - 2), (R3_OFFSET, n_rounds - 3)):
+        rule = MaskRule(bits=4, byte=0)
+        cfg = CampaignConfig(
+            key=key,
+            plaintext=pt,
+            samples=args.samples,
+            offsets={offset: OffsetBehavior(((StepId(rnd, AesOp.MIX_COLUMNS), rule, 1.0),))},
+            static_mask=bytes(z),
+            seed=rng.randrange(1 << 32),
+        )
+        records = generate_campaign(cfg)
+        clean = records[0].ciphertext
+        pools.append([r.ciphertext for r in records if r.faulted])
+    r2, r3 = pools
 
-    pairwise = attack_pairwise(clean, r2, r3, pt)
+    pairwise = recover_key(clean, r2, r3, pt, mode="pairwise")
     print(f"\npairwise vs clean reference: key={pairwise.recovered_key}")
     print(f"  groupings attempted: {pairwise.groupings_attempted}")
 
-    second = attack_second_order(clean, r2, r3, pt)
+    second = recover_key(clean, r2, r3, pt, mode="second_order")
     found = second.recovered_key.hex() if second.recovered_key else None
     print(f"\nfaulty-reference groupings: key={found}")
     print(f"  groupings attempted: {second.groupings_attempted}")

@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .aes import SBOX, gf_mul
 from .engine import BorrowArtifacts, slave_key_from_block
 
-__all__ = ["ArtifactMismatch", "BustResult", "bust", "bust_batch"]
+__all__ = ["ArtifactMismatch", "BustResult", "bust"]
 
 _BATCH = 1 << 16
 # full-range scan plus uniqueness assertion at or below this chunk width
@@ -257,18 +257,3 @@ def _verify(art: BorrowArtifacts, hidden: bytes, borrow: str) -> None:
             raise ArtifactMismatch(f"stage {stage + 1} of {len(art.stage_cts)} (verification)")
     if _ecb_encrypt(slave_key_from_block(hidden), bytes(16)) != art.slave_ct:
         raise ArtifactMismatch("slave (verification)")
-
-
-def bust_batch(
-    artifact_sets: Sequence[BorrowArtifacts],
-    workers: int = 1,
-    borrow: str = "tail",
-) -> list[BustResult | ArtifactMismatch]:
-    """Bust every artifact set, collecting per-set failures instead of stopping."""
-    out: list[BustResult | ArtifactMismatch] = []
-    for art in artifact_sets:
-        try:
-            out.append(bust(art, workers=workers, borrow=borrow))
-        except ArtifactMismatch as err:
-            out.append(err)
-    return out

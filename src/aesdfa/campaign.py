@@ -15,6 +15,7 @@ record carries null n and m.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable
@@ -40,6 +41,8 @@ __all__ = [
 
 def quantize_offset(n: float) -> float:
     """Snap an offset to quarter-cycle resolution, rejecting anything else."""
+    if not math.isfinite(n):
+        raise ValueError(f"glitch offsets must be finite, got {n}")
     q = round(n * 4)
     if abs(n * 4 - q) > 1e-9:
         raise ValueError(f"glitch offsets have quarter-cycle resolution, got {n}")
@@ -244,6 +247,17 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
         missing = _RECORD_FIELDS - raw.keys()
         if missing:
             raise RecordFormatError(line_no, f"missing fields: {', '.join(sorted(missing))}")
+        # a JSON boolean parses as a Python int, so bool is ruled out first
+        for name in ("n", "m"):
+            value = raw[name]
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise RecordFormatError(line_no, f"{name} must be a finite number or null")
+        if isinstance(raw["slot"], bool) or not isinstance(raw["slot"], int):
+            raise RecordFormatError(line_no, "slot must be an integer")
+        if not isinstance(raw["faulted"], bool):
+            raise RecordFormatError(line_no, "faulted must be true or false")
         try:
             records.append(
                 CiphertextRecord(
@@ -251,8 +265,8 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
                     ciphertext_hex=raw["ciphertext"],
                     offset_n=None if raw["n"] is None else float(raw["n"]),
                     width_m=None if raw["m"] is None else float(raw["m"]),
-                    slot=int(raw["slot"]),
-                    faulted=bool(raw["faulted"]),
+                    slot=raw["slot"],
+                    faulted=raw["faulted"],
                 )
             )
         except (ValueError, TypeError) as err:

@@ -14,14 +14,14 @@ import time
 
 import click
 
-from .aes import AesOp, ROUNDS_BY_KEY_LEN, expand_key
+from .aes import AesOp, ROUNDS_BY_KEY_LEN, encrypt_block, expand_key
 from .analyze import NoViableOffset, build_profile, recommend_offsets, render_table
-from .buster import ArtifactMismatch, bust as bust_artifacts
 from .campaign import (
     ConfigError,
     RecordFormatError,
     generate_campaign,
     parse_config,
+    quantize_offset,
     read_records,
     write_records,
 )
@@ -54,7 +54,7 @@ def _load_records(fp):
 
 def _check_key_matches(ks, records):
     for record in records:
-        if not record.faulted and localize_record(ks, record.plaintext, record.ciphertext):
+        if not record.faulted and encrypt_block(record.plaintext, ks) != record.ciphertext:
             _fail(2, "the supplied key does not reproduce the campaign's clean ciphertexts")
 
 
@@ -235,6 +235,10 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
     else:
         if r2_offset is None or (key_size != 128 and r3_offset is None):
             _fail(2, "pass --r2-offset/--r3-offset, or --split-with-key for simulations")
+        try:
+            r2_offset, r3_offset = (n if n is None else quantize_offset(n) for n in (r2_offset, r3_offset))
+        except ValueError as err:
+            _fail(2, str(err))
         r2_cts = [rec.ciphertext for rec in faulted if rec.offset_n == r2_offset]
         r3_cts = [rec.ciphertext for rec in faulted if rec.offset_n == r3_offset]
 
@@ -276,6 +280,9 @@ def bust(artifacts, workers, borrow):
     fixed_key, chunk_bits, and hex blocks c1..cN (cN from the slave slot).
     Hidden blocks print to stdout, one hex line per artifact set.
     """
+    # numpy and cryptography load only here: no other command needs them
+    from .buster import ArtifactMismatch, bust as bust_artifacts
+
     try:
         raw = json.load(artifacts)
     except json.JSONDecodeError as err:

@@ -13,7 +13,9 @@ with an unknown fault value eps and a coefficient column (a rotation of
 4-byte tuples per group: a byte survives only inside at least one tuple
 consistent with a single (eps, row) hypothesis, and intersecting tuple sets
 across independent faults collapses each group to one tuple with two or
-three usable faulty ciphertexts.
+three usable faulty ciphertexts. These per-group tuple sets are the only
+candidate representation; a key is assembled from them once every group
+holds exactly one tuple.
 
 A second round key is recovered by peeling the final round with the first
 one and re-running the same attack on the shortened cipher; the peeled
@@ -37,7 +39,6 @@ __all__ = [
     "MIX_COEFFS",
     "column_pattern",
     "ColumnCandidates",
-    "CandidateSet",
     "DfaResult",
     "InconsistentPairError",
     "column_candidates",
@@ -111,51 +112,10 @@ class ColumnCandidates:
     group: DiagonalGroup
     tuples: frozenset
 
-    @property
-    def byte_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(t[i] for t in self.tuples) for i in range(4))
-
     def intersect(self, other: "ColumnCandidates") -> "ColumnCandidates":
         if self.group.index != other.group.index:
             raise ValueError("cannot intersect candidates of different groups")
         return ColumnCandidates(self.group, self.tuples & other.tuples)
-
-
-class CandidateSet:
-    """Per-byte survivor sets over the 16 last-round-key positions."""
-
-    def __init__(self, positions: Sequence[frozenset]):
-        if len(positions) != 16:
-            raise ValueError("a candidate set covers 16 positions")
-        self.positions = tuple(frozenset(p) for p in positions)
-
-    @classmethod
-    def unconstrained(cls) -> "CandidateSet":
-        full = frozenset(range(256))
-        return cls([full] * 16)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[ColumnCandidates | None]) -> "CandidateSet":
-        full = frozenset(range(256))
-        sets: list[frozenset] = [full] * 16
-        for col in columns:
-            if col is None:
-                continue
-            for pos, values in zip(col.group.positions, col.byte_sets):
-                sets[pos] = values
-        return cls(sets)
-
-    @property
-    def is_unique(self) -> bool:
-        return all(len(s) == 1 for s in self.positions)
-
-    def key(self) -> bytes:
-        if not self.is_unique:
-            raise ValueError("candidate set is not a singleton on every position")
-        return bytes(next(iter(s)) for s in self.positions)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.positions)
 
 
 class InconsistentPairError(Exception):
@@ -177,13 +137,14 @@ class InconsistentPairError(Exception):
 class DfaResult:
     """Outcome of a last-round-key recovery.
 
-    `key` is set only when every position collapsed to a single value;
-    `candidates` always carries the surviving per-byte sets. `skipped`
-    lists (index, reason) for faulty ciphertexts that were not usable.
+    `candidates` holds one ColumnCandidates per diagonal group, or None
+    for a group no usable ciphertext constrained. `key` is set only when
+    every group collapsed to a single tuple. `skipped` lists (index,
+    reason) for faulty ciphertexts that were not usable.
     """
 
     key: bytes | None
-    candidates: CandidateSet
+    candidates: tuple[ColumnCandidates | None, ...]
     used: list[int] = field(default_factory=list)
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
@@ -259,7 +220,7 @@ def last_round_key(
         raise ValueError(f"on_conflict must be 'raise' or 'skip', got {on_conflict!r}")
     ref_groups = _split_groups(ref_ct)
     acc: list[ColumnCandidates | None] = [None] * 4
-    result = DfaResult(key=None, candidates=CandidateSet.unconstrained())
+    result = DfaResult(key=None, candidates=(None,) * 4)
 
     for idx, faulty in enumerate(faulty_cts):
         faulty_groups = _split_groups(faulty)
@@ -280,9 +241,13 @@ def last_round_key(
         acc = merged
         result.used.append(idx)
 
-    result.candidates = CandidateSet.from_columns(acc)
-    if result.candidates.is_unique:
-        result.key = result.candidates.key()
+    result.candidates = tuple(acc)
+    if all(col is not None and len(col.tuples) == 1 for col in acc):
+        key = bytearray(16)
+        for col in acc:
+            for pos, value in zip(col.group.positions, next(iter(col.tuples))):
+                key[pos] = value
+        result.key = bytes(key)
     return result
 
 
@@ -298,7 +263,7 @@ def single_column_key(
     last corrupts exactly one diagonal group, so every supplied faulty
     ciphertext must differ from the reference inside one common group;
     anything spanning more is rejected as the wrong fault model. The
-    returned candidates cover only that group's positions.
+    returned candidates are None for every other group.
     """
     if not faulty_cts:
         raise ValueError("need at least one faulty ciphertext")
@@ -316,7 +281,7 @@ def single_column_key(
             raise ValueError("faulty ciphertexts target different diagonal groups")
 
     acc: ColumnCandidates | None = None
-    result = DfaResult(key=None, candidates=CandidateSet.unconstrained())
+    result = DfaResult(key=None, candidates=(None,) * 4)
     ref_bytes = tuple(ref_ct[p] for p in group.positions)
     for idx, faulty in enumerate(faulty_cts):
         cand = column_candidates(
@@ -328,8 +293,8 @@ def single_column_key(
         acc = merged
         result.used.append(idx)
 
-    result.candidates = CandidateSet.from_columns([acc])
-    if all(len(s) == 1 for s in acc.byte_sets) and len(acc.tuples) == 1:
+    result.candidates = tuple(acc if g == group else None for g in DIAGONAL_GROUPS)
+    if len(acc.tuples) == 1:
         result.key = bytes(next(iter(acc.tuples)))
     return result
 

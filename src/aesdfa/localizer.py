@@ -19,10 +19,8 @@ entering an operation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .aes import (
-    AesOp,
     KeySchedule,
     StepId,
     decrypt_trace,
@@ -31,7 +29,7 @@ from .aes import (
     xor_bytes,
 )
 
-__all__ = ["LocalizationReport", "localize", "localize_batch"]
+__all__ = ["LocalizationReport", "localize"]
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,3 @@ def localize(ks: KeySchedule, pt: bytes, faulty_ct: bytes) -> LocalizationReport
         hamming=best,
         ambiguous=not contiguous,
     )
-
-
-def localize_batch(ks: KeySchedule, records: Iterable) -> list[tuple[object, LocalizationReport | None]]:
-    """Run localize over campaign records, preserving order.
-
-    Records need `plaintext` and `ciphertext` bytes properties (see
-    aesdfa.campaign.CiphertextRecord). Clean records map to None.
-    """
-    return [(rec, localize(ks, rec.plaintext, rec.ciphertext)) for rec in records]

@@ -16,7 +16,13 @@ key, so recovery is a search over groupings:
 Full AES-256 recovery chains two stages: faults two rounds from the end
 give the last round key, faults three rounds out (after peeling the final
 round) give the one before, and inverting the key schedule yields the
-cipher key. A report never carries an unverified key.
+cipher key. AES-128 stops after the first stage.
+
+`recover_key` is the one entry point; its `mode` picks pairwise,
+second_order, or auto (pairwise, then second order). Both stages solve
+their groupings in one place, and every candidate key goes through one
+verify step against the clean ciphertext, so a report never carries an
+unverified key.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from .dfa import InconsistentPairError, last_round_key, penultimate_round_key
 __all__ = [
     "AttackReport",
     "verify_key",
-    "attack_pairwise",
-    "attack_second_order",
     "recover_key",
 ]
 
@@ -89,36 +93,25 @@ class AttackReport:
         )
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.spent = 0
-
-    def tick(self) -> bool:
-        self.spent += 1
-        return self.spent <= self.limit
+class _BudgetExhausted(Exception):
+    def __init__(self, stage: str):
+        self.stage = stage
 
 
 def _stage_groupings(cts: Sequence[bytes], clean_ct: bytes | None):
-    """Yield (reference, pair indices, reference index or None).
+    """Yield (reference, member indices); the pair is the first two members.
 
     With a clean reference: plain lexicographic pairs. Without: every
-    member of every 3-subset takes a turn as the reference (3 per triple).
+    member of every 3-subset takes a turn as the reference (3 per triple),
+    and the reference index comes last.
     """
     if clean_ct is not None:
-        for i, j in combinations(range(len(cts)), 2):
-            yield clean_ct, (i, j), None
+        for pair in combinations(range(len(cts)), 2):
+            yield clean_ct, pair
     else:
         for trio in combinations(range(len(cts)), 3):
             for ref in trio:
-                rest = tuple(x for x in trio if x != ref)
-                yield cts[ref], rest, ref
-
-
-def _solve_stage(ref, pair_cts, k_last):
-    if k_last is None:
-        return last_round_key(ref, pair_cts)
-    return penultimate_round_key(ref, pair_cts, k_last)
+                yield cts[ref], (*(x for x in trio if x != ref), ref)
 
 
 def _run_attack(
@@ -132,115 +125,68 @@ def _run_attack(
     exhaustive: bool,
 ) -> AttackReport:
     two_stage = key_size != 128
-    ref_for = clean_ct if mode == "pairwise" else None
+    ref_ct = clean_ct if mode == "pairwise" else None
     report = AttackReport(
         mode=mode,
         groupings_attempted={"last_round": 0, "penultimate": 0} if two_stage else {"last_round": 0},
         usable_last_round=[False] * len(r2_cts),
         usable_earlier_round=[False] * len(r3_cts),
     )
-    budget = _Budget(max_groupings)
     started = time.perf_counter()
-    seen_last_keys: set[bytes] = set()
 
-    def finish(failure: str | None) -> AttackReport:
-        if report.recovered_key is None:
-            report.failure = failure or "exhausted"
-        report.wall_time = time.perf_counter() - started
-        return report
-
-    for ref1, pair1, refidx1 in _stage_groupings(r2_cts, ref_for):
-        if not budget.tick():
-            return finish(f"grouping budget of {max_groupings} exhausted in stage last_round")
-        report.groupings_attempted["last_round"] += 1
-        try:
-            stage1 = last_round_key(ref1, [r2_cts[pair1[0]], r2_cts[pair1[1]]])
-        except InconsistentPairError:
-            continue
-        if stage1.key is None or stage1.key in seen_last_keys:
-            continue
-        seen_last_keys.add(stage1.key)
-
-        if not two_stage:
-            key = invert_key_schedule(key_size, [stage1.key])
-            if verify_key(key, pt, clean_ct):
-                report.groupings_succeeded += 1
-                if report.recovered_key is None:
-                    report.recovered_key = key
-                    report.round_keys = {"last": stage1.key}
-                    _flag(report.usable_last_round, pair1, refidx1)
-                if not exhaustive:
-                    return finish(None)
-            continue
-
-        for ref2, pair2, refidx2 in _stage_groupings(r3_cts, clean_ct if ref_for is not None else None):
-            if not budget.tick():
-                return finish(f"grouping budget of {max_groupings} exhausted in stage penultimate")
-            report.groupings_attempted["penultimate"] += 1
+    def solutions(stage, cts, k_last=None):
+        """Yield (round key, members) for each grouping of `stage` that pins a key."""
+        for ref, members in _stage_groupings(cts, ref_ct):
+            if report.total_groupings >= max_groupings:
+                raise _BudgetExhausted(stage)
+            report.groupings_attempted[stage] += 1
+            pair_cts = [cts[members[0]], cts[members[1]]]
             try:
-                stage2 = penultimate_round_key(
-                    ref2, [r3_cts[pair2[0]], r3_cts[pair2[1]]], stage1.key
-                )
+                if k_last is None:
+                    result = last_round_key(ref, pair_cts)
+                else:
+                    result = penultimate_round_key(ref, pair_cts, k_last)
             except InconsistentPairError:
                 continue
-            if stage2.key is None:
+            if result.key is not None:
+                yield result.key, members
+
+    def chains():
+        """Yield (round keys, last-round members, earlier-round members)."""
+        seen_last_keys: set[bytes] = set()
+        for k_last, members in solutions("last_round", r2_cts):
+            if k_last in seen_last_keys:
                 continue
-            key = invert_key_schedule(key_size, [stage2.key, stage1.key])
+            seen_last_keys.add(k_last)
+            if not two_stage:
+                yield {"last": k_last}, members, ()
+                continue
+            for k_pen, earlier in solutions("penultimate", r3_cts, k_last):
+                yield {"last": k_last, "penultimate": k_pen}, members, earlier
+
+    try:
+        for round_keys, members, earlier in chains():
+            # invert_key_schedule takes the schedule tail, earliest round key first
+            key = invert_key_schedule(key_size, list(round_keys.values())[::-1])
             if not verify_key(key, pt, clean_ct):
                 continue  # spurious solution; keep searching
             report.groupings_succeeded += 1
             if report.recovered_key is None:
                 report.recovered_key = key
-                report.round_keys = {"last": stage1.key, "penultimate": stage2.key}
-                _flag(report.usable_last_round, pair1, refidx1)
-                _flag(report.usable_earlier_round, pair2, refidx2)
+                report.round_keys = round_keys
+                for i in members:
+                    report.usable_last_round[i] = True
+                for i in earlier:
+                    report.usable_earlier_round[i] = True
             if not exhaustive:
-                return finish(None)
-    return finish(
-        None
-        if report.recovered_key is not None
-        else f"stage last_round exhausted after {report.groupings_attempted['last_round']} groupings"
-    )
-
-
-def _flag(flags: list[bool], pair, refidx) -> None:
-    for i in pair:
-        flags[i] = True
-    if refidx is not None:
-        flags[refidx] = True
-
-
-def attack_pairwise(
-    clean_ct: bytes,
-    r2_cts: Sequence[bytes],
-    r3_cts: Sequence[bytes],
-    pt: bytes,
-    key_size: int = 256,
-    max_groupings: int = DEFAULT_GROUPING_BUDGET,
-    exhaustive: bool = False,
-) -> AttackReport:
-    """All-pairs search against the clean ciphertext, both stages."""
-    return _run_attack("pairwise", clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
-
-
-def attack_second_order(
-    clean_ct: bytes,
-    r2_cts: Sequence[bytes],
-    r3_cts: Sequence[bytes],
-    pt: bytes,
-    key_size: int = 256,
-    max_groupings: int = DEFAULT_GROUPING_BUDGET,
-    exhaustive: bool = False,
-) -> AttackReport:
-    """Faulty-reference search for campaigns with a shared static corruption.
-
-    Requires the fixed-plaintext discipline: the static contribution is
-    only constant across samples of one campaign. The clean ciphertext is
-    used solely to verify assembled candidate keys.
-    """
-    return _run_attack(
-        "second_order", clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive
-    )
+                break
+        failure = f"stage last_round exhausted after {report.groupings_attempted['last_round']} groupings"
+    except _BudgetExhausted as err:
+        failure = f"grouping budget of {max_groupings} exhausted in stage {err.stage}"
+    if report.recovered_key is None:
+        report.failure = failure
+    report.wall_time = time.perf_counter() - started
+    return report
 
 
 def recover_key(
@@ -256,8 +202,15 @@ def recover_key(
     """Recover the full cipher key from classified fault pools.
 
     `r2_cts` hold outputs faulted two rounds from the end, `r3_cts` three
-    rounds out (unused for AES-128). `auto` tries the pairwise search and
-    falls back to the second-order one.
+    rounds out (unused for AES-128). `pairwise` searches all pairs against
+    the clean ciphertext. `second_order` uses faulty references, for
+    campaigns with a shared static corruption; it requires the
+    fixed-plaintext discipline, because the static contribution is only
+    constant across samples of one campaign, and it uses the clean
+    ciphertext solely to verify assembled keys. `auto` tries the pairwise
+    search and falls back to the second-order one. `max_groupings` caps
+    the groupings of one search over both stages; `exhaustive` keeps
+    counting verified groupings after the first.
     """
     if key_size not in (bits * 8 for bits in ROUNDS_BY_KEY_LEN):
         raise ValueError(f"key_size must be 128, 192 or 256, got {key_size}")
@@ -265,18 +218,17 @@ def recover_key(
         raise ValueError("no last-round-stage ciphertexts supplied")
     if key_size != 128 and not r3_cts:
         raise ValueError(f"AES-{key_size} needs earlier-round ciphertexts for its second stage")
-    if mode == "pairwise":
-        return attack_pairwise(clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
-    if mode == "second_order":
-        return attack_second_order(clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
-    if mode != "auto":
+    if mode not in ("pairwise", "second_order", "auto"):
         raise ValueError(f"mode must be pairwise, second_order or auto, got {mode!r}")
+    args = (clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
+    if mode != "auto":
+        return _run_attack(mode, *args)
 
-    first = attack_pairwise(clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
+    first = _run_attack("pairwise", *args)
     if first.recovered_key is not None:
         first.mode = "auto:pairwise"
         return first
-    second = attack_second_order(clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
+    second = _run_attack("second_order", *args)
     second.mode = "auto:second_order"
     for stage, count in first.groupings_attempted.items():
         second.groupings_attempted[stage] += count

@@ -24,7 +24,7 @@ from aesdfa.dfa import DIAGONAL_GROUPS, InconsistentPairError, column_candidates
 from aesdfa.engine import KeyslotEngine, run_borrow_chain
 from aesdfa.faults import FaultSpec, encrypt_with_faults
 from aesdfa.localizer import localize
-from aesdfa.orchestrator import attack_pairwise, attack_second_order, recover_key, verify_key
+from aesdfa.orchestrator import recover_key, verify_key
 from reference import oracle_encrypt
 from simhelpers import fault_campaign, single_byte_fault, spread_fault
 from toycipher import TOY_TABLES, exhaustive_tuples, toy_fault_pair
@@ -157,14 +157,14 @@ def test_criterion_4_second_order_with_static_faults():
         clean, r2, r3 = fault_campaign(
             key, PT, rng, n_r2=5, n_r3=5, static_mask=z, pinned_pos=dyn_pos
         )
-        second = attack_second_order(clean, r2, r3, PT)
+        second = recover_key(clean, r2, r3, PT, mode="second_order")
         if (
             second.recovered_key == key
             and second.groupings_attempted["last_round"] <= 3 * comb(5, 3)
             and second.groupings_attempted["penultimate"] <= 3 * comb(5, 3)
         ):
             recovered += 1
-        if attack_pairwise(clean, r2, r3, PT).recovered_key is None:
+        if recover_key(clean, r2, r3, PT, mode="pairwise").recovered_key is None:
             failed_pairwise += 1
     elapsed = time.perf_counter() - started
     _criterion(
@@ -204,7 +204,7 @@ def test_criterion_6_pairwise_filtering():
     key = bytes(rng.randrange(256) for _ in range(32))
     clean, r2, r3 = fault_campaign(key, PT, rng, n_r2=6, n_r3=3, multi_byte_r2=6)
     r3 = r3 + [encrypt_with_faults(PT, expand_key(key), [spread_fault(11, rng)]) for _ in range(3)]
-    report = attack_pairwise(clean, r2, r3, PT)
+    report = recover_key(clean, r2, r3, PT, mode="pairwise")
     elapsed = time.perf_counter() - started
     ok = (
         report.recovered_key == key

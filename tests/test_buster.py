@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aesdfa import buster
 from aesdfa.aes import encrypt_block, expand_key
-from aesdfa.buster import ArtifactMismatch, _ecb_encrypt, _encrypt_block_under_keys, bust, bust_batch
+from aesdfa.buster import ArtifactMismatch, _ecb_encrypt, _encrypt_block_under_keys, bust
 from aesdfa.engine import BorrowArtifacts, KeyslotEngine, run_borrow_chain, slave_key_from_block
 
 FIXED = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -120,19 +120,6 @@ def test_wrong_fixed_key_fails_at_stage_one():
     wrong = BorrowArtifacts(art.stage_cts, art.slave_ct, bytes(16), art.chunk_bits)
     with pytest.raises(ArtifactMismatch, match="stage 1"):
         bust(wrong)
-
-
-def test_bust_batch():
-    rng = random.Random(9)
-    hiddens = [bytes(rng.randrange(256) for _ in range(16)) for _ in range(4)]
-    arts = [chain_for(h) for h in hiddens]
-    bad = BorrowArtifacts(arts[2].stage_cts, bytes(16), FIXED, 16)
-    outcomes = bust_batch([arts[0], arts[1], bad, arts[3]])
-    assert [o.hidden for o in outcomes if not isinstance(o, ArtifactMismatch)] == [
-        hiddens[0], hiddens[1], hiddens[3],
-    ]
-    assert isinstance(outcomes[2], ArtifactMismatch)
-    assert bust_batch([]) == []
 
 
 def test_head_borrow_variant():

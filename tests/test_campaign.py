@@ -149,6 +149,36 @@ class TestRecordsIo:
         with pytest.raises(ValueError):
             CiphertextRecord("00", "11" * 16, None, None, 0, False)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("faulted", "false"),
+            ("faulted", 0),
+            ("slot", 1.9),
+            ("slot", True),
+            ("slot", "1"),
+            ("n", "271.5"),
+            ("n", True),
+            ("n", float("nan")),
+            ("m", "1.0"),
+            ("m", float("inf")),
+        ],
+    )
+    def test_field_types_are_strict(self, field, value):
+        import json
+
+        lines = [rec.to_json() for rec in generate_campaign(base_config(samples=2))]
+        raw = json.loads(lines[1])
+        raw[field] = value
+        lines[1] = json.dumps(raw)
+        with pytest.raises(RecordFormatError, match=f"line 2: {field} must be"):
+            read_records(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_integer_offsets_load_as_floats(self):
+        lines = records_to_lines(generate_campaign(base_config(samples=1)))
+        rec = read_records(io.StringIO(lines.replace('"n": null', '"n": 271')))[0]
+        assert rec.offset_n == 271.0 and isinstance(rec.offset_n, float)
+
 
 class TestQuantizeOffset:
     def test_quarters_pass(self):
@@ -159,6 +189,11 @@ class TestQuantizeOffset:
     def test_non_quarter_rejected(self):
         with pytest.raises(ValueError, match="quarter-cycle"):
             quantize_offset(271.3)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_offset(value)
 
 
 CONFIG_TEXT = """\
@@ -195,6 +230,12 @@ class TestParseConfig:
     def test_bad_line_number(self):
         text = CONFIG_TEXT.format(key=KEY.hex(), pt=PT.hex()) + "offset 273 = round=99 op=MixColumns\n"
         with pytest.raises(ConfigError) as err:
+            self.make(text)
+        assert err.value.line_no == 10
+
+    def test_non_finite_offset_reports_line(self):
+        text = CONFIG_TEXT.format(key=KEY.hex(), pt=PT.hex()) + "offset inf = round=12 op=MixColumns\n"
+        with pytest.raises(ConfigError, match="finite") as err:
             self.make(text)
         assert err.value.line_no == 10
 

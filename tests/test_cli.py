@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import aesdfa
 from aesdfa.aes import encrypt_block, expand_key
 from aesdfa.cli import main
 from aesdfa.engine import KeyslotEngine, artifacts_to_dict, run_borrow_chain
@@ -190,6 +195,46 @@ class TestAttack:
         result = runner.invoke(main, ["attack", str(out)])
         assert result.exit_code == 2
 
+    def test_mistyped_record_fields_exit_code(self, runner, tmp_path):
+        out = simulate_to(runner, tmp_path)
+        lines = out.read_text().splitlines()
+        raw = json.loads(lines[2])
+        raw.update(faulted="false", slot=1.9, n="271.5")
+        lines[2] = json.dumps(raw)
+        out.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"]
+        )
+        assert result.exit_code == 2
+        assert "line 3" in result.output
+
+    @pytest.mark.parametrize("flag", ["--r2-offset", "--r3-offset"])
+    @pytest.mark.parametrize("value", ["271.5001", "271.3", "inf", "nan"])
+    def test_off_grid_offset_exit_code(self, runner, tmp_path, flag, value):
+        out = simulate_to(runner, tmp_path)
+        args = {"--r2-offset": "271.5", "--r3-offset": "272.25", flag: value}
+        result = runner.invoke(main, ["attack", str(out), *(x for kv in args.items() for x in kv)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    def test_offset_within_tolerance_snaps(self, runner, tmp_path):
+        # the same quarter-cycle rule as config files: float noise snaps
+        out = simulate_to(runner, tmp_path)
+        result = runner.invoke(
+            main, ["attack", str(out), "--r2-offset", "271.50000000001", "--r3-offset", "272.25"]
+        )
+        assert result.exit_code == 0, result.output
+
+
+def test_import_leaves_out_numpy_and_cryptography():
+    # only the bust command needs them; every other command starts without
+    src = str(Path(aesdfa.__file__).resolve().parent.parent)
+    code = "import sys, aesdfa.cli; print(sorted({'numpy', 'cryptography'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
 
 class TestBust:
     def artifact_file(self, tmp_path, hiddens):
@@ -216,14 +261,15 @@ class TestBust:
         assert result.stdout.strip() == hidden.hex()
 
     def test_multiple_sets_and_failure(self, runner, tmp_path):
-        hiddens = [bytes(range(16)), bytes(range(16, 32))]
+        # the tampered set sits between good ones: later sets still run
+        hiddens = [bytes(range(16)), bytes(range(16, 32)), bytes(range(32, 48))]
         path = self.artifact_file(tmp_path, hiddens)
         sets = json.loads(path.read_text())
         sets[1]["c3"] = "00" * 16
         path.write_text(json.dumps(sets))
         result = runner.invoke(main, ["bust", str(path)])
         assert result.exit_code == 1
-        assert result.stdout.strip() == hiddens[0].hex()
+        assert result.stdout.split() == [hiddens[0].hex(), hiddens[2].hex()]
         assert "set 1" in result.output
 
     def test_bad_json(self, runner, tmp_path):

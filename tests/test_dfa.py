@@ -9,7 +9,6 @@ from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key, xor_bytes
 from aesdfa.dfa import (
     DIAGONAL_GROUPS,
     AES_TABLES,
-    CandidateSet,
     InconsistentPairError,
     column_candidates,
     group_of_diff,
@@ -128,7 +127,7 @@ class TestLastRoundKey:
     def test_empty_list_is_unconstrained(self):
         result = last_round_key(bytes(16), [])
         assert result.key is None
-        assert result.candidates.sizes() == (256,) * 16
+        assert result.candidates == (None,) * 4
 
     def test_wrong_round_signature_skipped(self):
         # a fault one round late touches a single group and is skipped
@@ -163,8 +162,8 @@ class TestLastRoundKey:
         f2 = encrypt_with_faults(pt, ks, [byte_fault(12, 11, 0x23)])
         one = last_round_key(ref, [f1])
         two = last_round_key(ref, [f1, f2])
-        for a, b in zip(two.candidates.positions, one.candidates.positions):
-            assert a <= b
+        for a, b in zip(two.candidates, one.candidates):
+            assert a.tuples <= b.tuples
 
     def test_static_mask_invariance(self):
         # a shared corruption in both the reference and the faulty runs
@@ -211,6 +210,19 @@ class TestSingleColumnKey:
         else:
             pytest.fail("five single-column faults did not pin the key bytes")
 
+    def test_candidates_sit_at_the_faulted_group(self):
+        rng = random.Random(44)
+        ks = expand_key(bytes(rng.randrange(256) for _ in range(32)))
+        pt = bytes(rng.randrange(256) for _ in range(16))
+        ref = encrypt_block(pt, ks)
+        for pos in (0, 5, 10, 15):  # one state column each
+            ct = encrypt_with_faults(pt, ks, [byte_fault(13, pos, 0x3C)])
+            (group,) = group_of_diff(xor_bytes(ref, ct))
+            result = single_column_key(ref, [ct])
+            assert [c is not None for c in result.candidates] == [g == group for g in DIAGONAL_GROUPS]
+            truth = tuple(ks.round_keys[14][p] for p in group.positions)
+            assert truth in result.candidates[group.index].tuples
+
     def test_zero_diff_rejected(self):
         ref = bytes(range(16))
         with pytest.raises(ValueError, match="spans 0"):
@@ -231,7 +243,7 @@ class TestSingleColumnKey:
         ct = encrypt_with_faults(pt, ks, [byte_fault(13, 0, 0x3C)])
         once = single_column_key(ref, [ct])
         twice = single_column_key(ref, [ct, ct])
-        assert once.candidates.sizes() == twice.candidates.sizes()
+        assert once.candidates == twice.candidates
         assert twice.key is None  # one effective fault rarely pins 4 bytes
 
 
@@ -291,20 +303,6 @@ class TestToyEquivalence:
             assert tuple(key) in cand.tuples
 
 
-class TestCandidateSet:
-    def test_unconstrained(self):
-        cs = CandidateSet.unconstrained()
-        assert cs.sizes() == (256,) * 16
-        assert not cs.is_unique
-
-    def test_key_requires_singletons(self):
-        cs = CandidateSet([frozenset({i}) for i in range(16)])
-        assert cs.is_unique
-        assert cs.key() == bytes(range(16))
-        with pytest.raises(ValueError, match="singleton"):
-            CandidateSet.unconstrained().key()
-
-
 class TestSoundnessProperties:
     # the true key must survive every update derived from a genuine
     # single-byte fault, whatever its position, value, or the key
@@ -323,8 +321,8 @@ class TestSoundnessProperties:
         ref = encrypt_block(pt, ks)
         faulty = encrypt_with_faults(pt, ks, [byte_fault(12, pos, value)])
         result = last_round_key(ref, [faulty])
-        for p, survivors in enumerate(result.candidates.positions):
-            assert ks.round_keys[14][p] in survivors
+        for col in result.candidates:
+            assert tuple(ks.round_keys[14][p] for p in col.group.positions) in col.tuples
 
     @given(
         pos=st.integers(0, 15),
@@ -346,8 +344,8 @@ class TestSoundnessProperties:
             peel_final_round(ref, ks.round_keys[14]),
             [peel_final_round(faulty, ks.round_keys[14])],
         )
-        for p, survivors in enumerate(result.candidates.positions):
-            assert peeled_target[p] in survivors
+        for col in result.candidates:
+            assert tuple(peeled_target[p] for p in col.group.positions) in col.tuples
 
 
 def test_column_patterns_are_rotations():

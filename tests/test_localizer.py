@@ -3,7 +3,7 @@ import random
 from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
 from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign
 from aesdfa.faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
-from aesdfa.localizer import localize, localize_batch
+from aesdfa.localizer import localize
 
 KS = expand_key(bytes(range(32)))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -89,12 +89,11 @@ def _pinned_config(samples, seed=0, fault_rate=1.0):
 
 def test_batch_on_pinned_campaign():
     records = generate_campaign(_pinned_config(samples=1000, seed=5))
-    results = localize_batch(KS, records)
-    assert [rec for rec, _ in results] == records
-    assert results[0][1] is None  # baseline record
+    reports = [localize(KS, rec.plaintext, rec.ciphertext) for rec in records]
+    assert reports[0] is None  # baseline record
     hits = sum(
         1
-        for rec, report in results[1:]
+        for report in reports[1:]
         if report is not None and report.step == StepId(12, AesOp.MIX_COLUMNS)
     )
     assert hits >= 0.99 * 1000
@@ -102,8 +101,4 @@ def test_batch_on_pinned_campaign():
 
 def test_batch_all_clean():
     records = generate_campaign(_pinned_config(samples=10, fault_rate=0.0))
-    assert all(report is None for _, report in localize_batch(KS, records))
-
-
-def test_batch_empty():
-    assert localize_batch(KS, []) == []
+    assert all(localize(KS, rec.plaintext, rec.ciphertext) is None for rec in records)

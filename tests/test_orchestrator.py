@@ -5,12 +5,7 @@ from math import comb
 import pytest
 
 from aesdfa.aes import encrypt_block, expand_key
-from aesdfa.orchestrator import (
-    attack_pairwise,
-    attack_second_order,
-    recover_key,
-    verify_key,
-)
+from aesdfa.orchestrator import recover_key, verify_key
 from simhelpers import fault_campaign
 
 KEY = bytes.fromhex("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
@@ -32,18 +27,20 @@ class TestPairwise:
     def test_recovers_key(self):
         rng = random.Random(101)
         clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=10, n_r3=10)
-        report = attack_pairwise(clean, r2, r3, PT)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
         assert report.recovered_key == KEY
         assert report.round_keys["last"] == expand_key(KEY).round_keys[14]
         assert report.round_keys["penultimate"] == expand_key(KEY).round_keys[13]
         assert report.groupings_attempted["last_round"] <= comb(10, 2)
         assert report.groupings_attempted["penultimate"] <= comb(10, 2)
         assert report.failure is None
+        # the winning pair of each stage, and nothing else, is flagged
+        assert sum(report.usable_last_round) == sum(report.usable_earlier_round) == 2
 
     def test_mixed_campaign_filters_multibyte(self):
         rng = random.Random(102)
         clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=5, n_r3=3, multi_byte_r2=5)
-        report = attack_pairwise(clean, r2, r3, PT)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
         assert report.recovered_key == KEY
         assert report.groupings_attempted["last_round"] <= comb(10, 2)
         # the spread faults never end up flagged as part of the winning grouping
@@ -52,30 +49,24 @@ class TestPairwise:
     def test_only_multibyte_exhausts(self):
         rng = random.Random(103)
         clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=0, n_r3=2, multi_byte_r2=4)
-        report = attack_pairwise(clean, r2, r3, PT)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
         assert report.recovered_key is None
         assert report.failure is not None
         assert report.groupings_attempted["last_round"] == comb(4, 2)
 
-    def test_empty_pool_immediate_exhaustion(self):
-        report = attack_pairwise(CLEAN, [], [], PT)
-        assert report.recovered_key is None
-        assert report.total_groupings == 0
-        assert report.failure is not None
-
     def test_result_independent_of_input_order(self):
         rng = random.Random(104)
         clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=4, n_r3=4)
-        forward = attack_pairwise(clean, r2, r3, PT)
-        backward = attack_pairwise(clean, r2[::-1], r3[::-1], PT)
+        forward = recover_key(clean, r2, r3, PT, mode="pairwise")
+        backward = recover_key(clean, r2[::-1], r3[::-1], PT, mode="pairwise")
         assert forward.recovered_key == backward.recovered_key == KEY
 
     def test_grouping_budget(self):
         rng = random.Random(105)
-        clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=0, n_r3=0, multi_byte_r2=6)
-        report = attack_pairwise(clean, r2, r3, PT, max_groupings=5)
+        clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=0, n_r3=2, multi_byte_r2=6)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise", max_groupings=5)
         assert report.recovered_key is None
-        assert "budget" in report.failure
+        assert report.failure == "grouping budget of 5 exhausted in stage last_round"
         assert report.total_groupings <= 5
 
 
@@ -87,10 +78,12 @@ class TestSecondOrder:
         clean, r2, r3 = fault_campaign(
             KEY, PT, rng, n_r2=5, n_r3=5, static_mask=bytes(z), pinned_pos=0
         )
-        report = attack_second_order(clean, r2, r3, PT)
+        report = recover_key(clean, r2, r3, PT, mode="second_order")
         assert report.recovered_key == KEY
         assert report.groupings_attempted["last_round"] <= 3 * comb(5, 3)
         assert report.groupings_attempted["penultimate"] <= 3 * comb(5, 3)
+        # a faulty reference is flagged with its pair
+        assert sum(report.usable_last_round) == sum(report.usable_earlier_round) == 3
 
     def test_pairwise_fails_on_static_masked_campaign(self):
         rng = random.Random(111)
@@ -99,7 +92,7 @@ class TestSecondOrder:
         clean, r2, r3 = fault_campaign(
             KEY, PT, rng, n_r2=5, n_r3=5, static_mask=bytes(z), pinned_pos=0
         )
-        report = attack_pairwise(clean, r2, r3, PT)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
         assert report.recovered_key is None
 
     def test_zero_static_equals_pairwise(self):
@@ -107,9 +100,43 @@ class TestSecondOrder:
         # converge on the same verified key
         rng = random.Random(112)
         clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=4, n_r3=4, pinned_pos=7)
-        pairwise = attack_pairwise(clean, r2, r3, PT)
-        second = attack_second_order(clean, r2, r3, PT)
+        pairwise = recover_key(clean, r2, r3, PT, mode="pairwise")
+        second = recover_key(clean, r2, r3, PT, mode="second_order")
         assert pairwise.recovered_key == second.recovered_key == KEY
+
+
+class TestSearch:
+    # three good r2 faults solve every pair to the same last round key;
+    # random r3 blocks never solve the second stage
+    def _dead_second_stage(self):
+        rng = random.Random(161)
+        clean, r2, _ = fault_campaign(KEY, PT, rng, n_r2=3, n_r3=0)
+        return clean, r2, [rng.randbytes(16) for _ in range(3)]
+
+    def test_repeated_last_round_key_searched_once(self):
+        clean, r2, r3 = self._dead_second_stage()
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
+        assert report.recovered_key is None
+        assert report.groupings_attempted == {"last_round": 3, "penultimate": 3}
+        assert report.failure == "stage last_round exhausted after 3 groupings"
+
+    def test_budget_trips_in_penultimate_stage(self):
+        clean, r2, r3 = self._dead_second_stage()
+        report = recover_key(clean, r2, r3, PT, mode="pairwise", max_groupings=2)
+        assert report.groupings_attempted == {"last_round": 1, "penultimate": 1}
+        assert report.failure == "grouping budget of 2 exhausted in stage penultimate"
+
+    @pytest.mark.parametrize("key_size", [128, 256])
+    def test_unverified_key_is_never_reported(self, key_size):
+        # the groupings solve from ciphertexts alone; a wrong plaintext
+        # makes every assembled key fail verification
+        rng = random.Random(162)
+        key = rng.randbytes(key_size // 8)
+        clean, r2, r3 = fault_campaign(key, PT, rng, n_r2=3, n_r3=3)
+        report = recover_key(clean, r2, r3, bytes(16), key_size=key_size, mode="pairwise")
+        assert report.recovered_key is None
+        assert report.groupings_succeeded == 0
+        assert not any(report.usable_last_round + report.usable_earlier_round)
 
 
 class TestRecoverKey:
@@ -198,7 +225,7 @@ class TestCampaignPipeline:
         clean = next(r for r in records if r.offset_n is None)
         r2 = [r.ciphertext for r in records if r.faulted and r.offset_n == 271.5]
         r3 = [r.ciphertext for r in records if r.faulted and r.offset_n == 272.25]
-        return attack_second_order(clean.ciphertext, r2, r3, clean.plaintext)
+        return recover_key(clean.ciphertext, r2, r3, clean.plaintext, mode="second_order")
 
     def test_same_seed_with_and_without_static_mask(self):
         z = bytearray(16)
@@ -218,7 +245,7 @@ class TestExhaustiveMode:
     def test_counts_every_grouping(self):
         rng = random.Random(141)
         clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=3, n_r3=3)
-        report = attack_pairwise(clean, r2, r3, PT, exhaustive=True)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise", exhaustive=True)
         assert report.recovered_key == KEY
         assert report.groupings_attempted["last_round"] == comb(3, 2)
         assert report.groupings_succeeded >= 1
