@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
@@ -34,6 +35,7 @@ __all__ = [
     "decrypt_block",
     "encrypt_trace",
     "decrypt_trace",
+    "cipher_with_taps",
     "peel_final_round",
     "sub_bytes",
     "inv_sub_bytes",
@@ -42,6 +44,7 @@ __all__ = [
     "mix_columns",
     "inv_mix_columns",
     "xor_bytes",
+    "bytes_from_hex",
     "block_from_hex",
     "block_to_hex",
     "flat_index",
@@ -262,14 +265,21 @@ def flat_index(row: int, col: int) -> int:
     return 4 * col + row
 
 
+_LOWER_HEX = re.compile(r"(?:[0-9a-f]{2})*")
+
+
+def bytes_from_hex(text: str) -> bytes:
+    """Decode lowercase hex without separators; unlike `bytes.fromhex`, reject spaces and uppercase."""
+    if not isinstance(text, str) or not _LOWER_HEX.fullmatch(text):
+        raise ValueError(f"invalid hex {text!r}")
+    return bytes.fromhex(text)
+
+
 def block_from_hex(text: str) -> bytes:
     """Decode a 32-char hex block, rejecting anything malformed."""
     if len(text) != 32:
         raise ValueError(f"expected 32 hex chars, got {len(text)}")
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise ValueError(f"invalid hex block {text!r}") from None
+    return bytes_from_hex(text)
 
 
 def block_to_hex(block: bytes) -> str:
@@ -468,6 +478,13 @@ def decrypt_trace(ct: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     entries: list[TraceEntry] = []
     pt = _inv_cipher(ct, ks, trace=entries)
     return pt, tuple(reversed(entries))
+
+
+def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool = False) -> bytes:
+    """Encrypt `block`, or decrypt it with `inverse`, XORing each tap mask
+    into the state entering its encryption-direction step."""
+    _check_block(block, "ciphertext" if inverse else "plaintext")
+    return (_inv_cipher if inverse else _cipher)(block, ks, taps=taps or None)
 
 
 def peel_final_round(ct: bytes, k_last: bytes) -> bytes:

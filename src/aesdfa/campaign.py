@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .aes import ROUNDS_BY_KEY_LEN, StepId, block_from_hex, encrypt_block, expand_key
-from .faults import FaultRole, FaultSpec, encrypt_with_faults
+from .aes import ROUNDS_BY_KEY_LEN, StepId, block_from_hex, bytes_from_hex, encrypt_block, expand_key
+from .faults import FaultSpec, encrypt_with_faults
 
 __all__ = [
     "MaskRule",
@@ -209,11 +209,9 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
         fired = rng.random() < cfg.fault_rate
         faults = []
         if cfg.static_mask is not None:
-            faults.append(
-                FaultSpec(cfg.static_step or step, cfg.static_mask, FaultRole.STATIC)
-            )
+            faults.append(FaultSpec(cfg.static_step or step, cfg.static_mask))
         if fired:
-            faults.append(FaultSpec(step, rule.draw(rng), FaultRole.DYNAMIC))
+            faults.append(FaultSpec(step, rule.draw(rng)))
         ct = encrypt_with_faults(cfg.plaintext, ks, faults) if faults else clean_ct
         records.append(
             CiphertextRecord(pt_hex, ct.hex(), offset, cfg.width, cfg.slot, bool(faults))
@@ -289,7 +287,7 @@ class ConfigError(Exception):
 
 def _parse_hex(value: str, line_no: int, name: str, sizes: tuple[int, ...]) -> bytes:
     try:
-        raw = bytes.fromhex(value)
+        raw = bytes_from_hex(value)
     except ValueError:
         raise ConfigError(line_no, f"{name} is not valid hex") from None
     if len(raw) not in sizes:

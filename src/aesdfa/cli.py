@@ -14,7 +14,7 @@ import time
 
 import click
 
-from .aes import AesOp, ROUNDS_BY_KEY_LEN, encrypt_block, expand_key
+from .aes import AesOp, ROUNDS_BY_KEY_LEN, bytes_from_hex, encrypt_block, expand_key
 from .analyze import NoViableOffset, build_profile, recommend_offsets, render_table
 from .campaign import (
     ConfigError,
@@ -35,14 +35,14 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _parse_key(text: str) -> bytes:
+def _parse_hex(text: str, name: str = "key", sizes=tuple(ROUNDS_BY_KEY_LEN)) -> bytes:
     try:
-        key = bytes.fromhex(text)
+        raw = bytes_from_hex(text)
     except ValueError:
-        _fail(2, "key is not valid hex")
-    if len(key) not in ROUNDS_BY_KEY_LEN:
-        _fail(2, f"key must be 16, 24 or 32 bytes, got {len(key)}")
-    return key
+        _fail(2, f"{name} is not valid hex")
+    if len(raw) not in sizes:
+        _fail(2, f"{name} must be {' or '.join(map(str, sizes))} bytes, got {len(raw)}")
+    return raw
 
 
 def _load_records(fp):
@@ -82,7 +82,7 @@ def simulate(config, output):
 @click.option("--key", "key_hex", required=True, help="Campaign key, hex.")
 def localize(records, key_hex):
     """Report where each record's fault entered the cipher."""
-    key = _parse_key(key_hex)
+    key = _parse_hex(key_hex)
     recs = _load_records(records)
     ks = expand_key(key)
     _check_key_matches(ks, recs)
@@ -115,7 +115,7 @@ def localize(records, key_hex):
 @click.option("--profile-json", type=click.File("w"), help="Also dump the per-offset profile.")
 def histogram(records, key_hex, profile_json):
     """Distributions of faulted operations and corrupted bit counts."""
-    key = _parse_key(key_hex)
+    key = _parse_hex(key_hex)
     recs = _load_records(records)
     ks = expand_key(key)
     _check_key_matches(ks, recs)
@@ -157,7 +157,7 @@ def histogram(records, key_hex, profile_json):
 )
 def recommend(records, key_hex, target_rounds):
     """Choose the glitch offset with the best usable-fault rate per round."""
-    key = _parse_key(key_hex)
+    key = _parse_hex(key_hex)
     recs = _load_records(records)
     ks = expand_key(key)
     _check_key_matches(ks, recs)
@@ -177,19 +177,9 @@ def recommend(records, key_hex, target_rounds):
         click.echo(f"round {rnd}: offset {chosen[rnd]}")
 
 
-def _block_flag(text, name):
-    try:
-        block = bytes.fromhex(text)
-    except ValueError:
-        _fail(2, f"{name} is not valid hex")
-    if len(block) != 16:
-        _fail(2, f"{name} must be 16 bytes")
-    return block
-
-
 def _clean_reference(recs, plaintext_hex, clean_ct_hex):
     if plaintext_hex and clean_ct_hex:
-        return _block_flag(plaintext_hex, "--plaintext"), _block_flag(clean_ct_hex, "--clean-ct")
+        return _parse_hex(plaintext_hex, "--plaintext", (16,)), _parse_hex(clean_ct_hex, "--clean-ct", (16,))
     plaintexts = {rec.plaintext_hex for rec in recs}
     if len(plaintexts) != 1:
         _fail(2, "records mix plaintexts; the attack needs a fixed-plaintext campaign")
@@ -225,7 +215,7 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
     faulted = [rec for rec in recs if rec.faulted]
 
     if split_key_hex is not None:
-        ks = expand_key(_parse_key(split_key_hex))
+        ks = expand_key(_parse_hex(split_key_hex))
         pools = {ks.n_rounds - 2: [], ks.n_rounds - 3: []}
         for rec in faulted:
             report = localize_record(ks, rec.plaintext, rec.ciphertext)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .aes import ROUNDS_BY_KEY_LEN, expand_key
+from .aes import ROUNDS_BY_KEY_LEN, bytes_from_hex, expand_key
 from .faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
 
 __all__ = [
@@ -201,13 +201,13 @@ def artifacts_to_dict(art: BorrowArtifacts) -> dict:
 
 def artifacts_from_dict(raw: dict) -> BorrowArtifacts:
     try:
-        fixed_key = bytes.fromhex(raw["fixed_key"])
+        fixed_key = bytes_from_hex(raw["fixed_key"])
         chunk_bits = int(raw.get("chunk_bits", 32))
         names = sorted(
             (k for k in raw if k.startswith("c") and k[1:].isdigit()),
             key=lambda k: int(k[1:]),
         )
-        blocks = [bytes.fromhex(raw[name]) for name in names]
+        blocks = [bytes_from_hex(raw[name]) for name in names]
     except (KeyError, ValueError, TypeError, AttributeError) as err:
         raise ValueError(f"bad artifact object: {err}") from None
     if len(blocks) < 2:

@@ -11,35 +11,15 @@ encrypt output).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
-from .aes import (
-    AesOp,
-    KeySchedule,
-    StepId,
-    _cipher,
-    _inv_cipher,
-    cipher_steps,
-    mix_columns,
-    shift_rows,
-    xor_bytes,
-)
+from .aes import KeySchedule, StepId, cipher_with_taps, xor_bytes
 
 __all__ = [
-    "FaultRole",
     "FaultSpec",
     "encrypt_with_faults",
     "decrypt_with_faults",
-    "push_mask_forward",
 ]
-
-
-class FaultRole(Enum):
-    """Static faults repeat identically across a campaign; dynamic ones vary."""
-
-    STATIC = "static"
-    DYNAMIC = "dynamic"
 
 
 @dataclass(frozen=True)
@@ -48,7 +28,6 @@ class FaultSpec:
 
     step: StepId
     mask: bytes
-    role: FaultRole = FaultRole.DYNAMIC
 
     def __post_init__(self):
         if len(self.mask) != 16:
@@ -72,10 +51,7 @@ def encrypt_with_faults(pt: bytes, ks: KeySchedule, faults: Iterable[FaultSpec])
     An empty fault list reproduces the plain encryption. Masks landing on
     the same step combine by XOR.
     """
-    if len(pt) != 16:
-        raise ValueError(f"plaintext must be 16 bytes, got {len(pt)}")
-    taps = _merged_taps(faults, ks.n_rounds)
-    return _cipher(pt, ks, taps=taps or None)
+    return cipher_with_taps(pt, ks, _merged_taps(faults, ks.n_rounds))
 
 
 def decrypt_with_faults(ct: bytes, ks: KeySchedule, faults: Iterable[FaultSpec]) -> bytes:
@@ -84,32 +60,4 @@ def decrypt_with_faults(ct: bytes, ks: KeySchedule, faults: Iterable[FaultSpec])
     The returned block re-encrypts to exactly encrypt_with_faults applied
     to the clean decryption of `ct`.
     """
-    if len(ct) != 16:
-        raise ValueError(f"ciphertext must be 16 bytes, got {len(ct)}")
-    taps = _merged_taps(faults, ks.n_rounds)
-    return _inv_cipher(ct, ks, taps=taps or None)
-
-
-def push_mask_forward(step: StepId, mask: bytes, n_rounds: int) -> tuple[StepId, bytes]:
-    """Move a fault mask through its own step to the next step's input.
-
-    Only valid across the linear operations (ShiftRows, MixColumns, either
-    AddRoundKey): a mask m entering a linear step L equals the mask L(m)
-    entering the following step (AddRoundKey contributes identity). Raises
-    for SubBytes, where no input-independent transformed mask exists.
-    """
-    step.validate(n_rounds)
-    op = step.op
-    if op is AesOp.SUB_BYTES:
-        raise ValueError("cannot push a mask through SubBytes")
-    if op is AesOp.SHIFT_ROWS:
-        moved = shift_rows(mask)
-    elif op is AesOp.MIX_COLUMNS:
-        moved = mix_columns(mask)
-    else:
-        moved = mask
-    steps = cipher_steps(n_rounds)
-    i = steps.index(step)
-    if i + 1 >= len(steps):
-        raise ValueError("no step follows the final AddRoundKey")
-    return steps[i + 1], moved
+    return cipher_with_taps(ct, ks, _merged_taps(faults, ks.n_rounds), inverse=True)

@@ -22,7 +22,12 @@ cipher key. AES-128 stops after the first stage.
 second_order, or auto (pairwise, then second order). Both stages solve
 their groupings in one place, and every candidate key goes through one
 verify step against the clean ciphertext, so a report never carries an
-unverified key.
+unverified key. A grouping that leaves a small product of candidate keys
+(at most 16) is set aside and its keys are tried once the stage's
+single-key groupings are used up, which keeps their search order. One
+search shares one candidate memo across its groupings. The second-order
+search needs 3 distinct faulty ciphertexts per stage, with the dynamic
+faults on one state byte.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class AttackReport:
     `groupings_attempted`/`groupings_succeeded` count per stage;
     `usable_last_round` / `usable_earlier_round` flag the inputs that were
     part of a grouping whose key verified. `failure` names the stage that
-    ran out of groupings, if any.
+    ran dry: the penultimate one once any last round key reached it.
     """
 
     mode: str
@@ -133,9 +138,12 @@ def _run_attack(
         usable_earlier_round=[False] * len(r3_cts),
     )
     started = time.perf_counter()
+    memo: dict = {}
+    seen_last_keys: set[bytes] = set()
 
     def solutions(stage, cts, k_last=None):
-        """Yield (round key, members) for each grouping of `stage` that pins a key."""
+        """Yield (round key, members) per grouping that pins a key, then per small-product key."""
+        products = []
         for ref, members in _stage_groupings(cts, ref_ct):
             if report.total_groupings >= max_groupings:
                 raise _BudgetExhausted(stage)
@@ -143,17 +151,21 @@ def _run_attack(
             pair_cts = [cts[members[0]], cts[members[1]]]
             try:
                 if k_last is None:
-                    result = last_round_key(ref, pair_cts)
+                    result = last_round_key(ref, pair_cts, memo=memo)
                 else:
-                    result = penultimate_round_key(ref, pair_cts, k_last)
+                    result = penultimate_round_key(ref, pair_cts, k_last, memo=memo)
             except InconsistentPairError:
                 continue
-            if result.key is not None:
-                yield result.key, members
+            if len(result.keys) == 1:
+                yield result.keys[0], members
+            elif result.keys:
+                products.append((result.keys, members))
+        for keys, members in products:
+            for key in keys:
+                yield key, members
 
     def chains():
         """Yield (round keys, last-round members, earlier-round members)."""
-        seen_last_keys: set[bytes] = set()
         for k_last, members in solutions("last_round", r2_cts):
             if k_last in seen_last_keys:
                 continue
@@ -180,7 +192,11 @@ def _run_attack(
                     report.usable_earlier_round[i] = True
             if not exhaustive:
                 break
-        failure = f"stage last_round exhausted after {report.groupings_attempted['last_round']} groupings"
+        dry_stage = "penultimate" if two_stage and seen_last_keys else "last_round"
+        failure = f"stage {dry_stage} exhausted after {report.groupings_attempted[dry_stage]} groupings"
+        distinct = len(set(r3_cts if dry_stage == "penultimate" else r2_cts))
+        if ref_ct is None and distinct < 3:
+            failure += f": second order needs 3 distinct faulty ciphertexts, got {distinct}"
     except _BudgetExhausted as err:
         failure = f"grouping budget of {max_groupings} exhausted in stage {err.stage}"
     if report.recovered_key is None:

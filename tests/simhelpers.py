@@ -3,7 +3,7 @@
 import random
 
 from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
-from aesdfa.faults import FaultRole, FaultSpec, encrypt_with_faults
+from aesdfa.faults import FaultSpec, encrypt_with_faults
 
 
 def single_byte_fault(round_, pos, value):
@@ -62,5 +62,5 @@ def fault_campaign(
 def _with_static(faults, round_, static_mask):
     if static_mask is None:
         return faults
-    static = FaultSpec(StepId(round_, AesOp.MIX_COLUMNS), static_mask, FaultRole.STATIC)
+    static = FaultSpec(StepId(round_, AesOp.MIX_COLUMNS), static_mask)
     return [static, *faults]

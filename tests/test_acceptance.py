@@ -27,7 +27,7 @@ from aesdfa.localizer import localize
 from aesdfa.orchestrator import recover_key, verify_key
 from reference import oracle_encrypt
 from simhelpers import fault_campaign, single_byte_fault, spread_fault
-from toycipher import TOY_TABLES, exhaustive_tuples, toy_fault_pair
+from toycipher import TOY_TABLES, exhaustive_tuples, pack, toy_fault_pair
 
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
@@ -312,7 +312,7 @@ def test_criterion_9_toy_cipher_oracle_equivalence():
         key, ref, faulty = toy_fault_pair(rng)
         cand = column_candidates(ref, faulty, DIAGONAL_GROUPS[0], tables=TOY_TABLES)
         oracle = exhaustive_tuples(ref, faulty)
-        if cand.tuples == oracle and tuple(key) in cand.tuples:
+        if cand.tuples == oracle and pack(key) in cand.tuples:
             matches += 1
     _criterion(
         9,

@@ -227,35 +227,99 @@ class TestAttack:
 
 
 def test_import_leaves_out_numpy_and_cryptography():
-    # only the bust command needs them; every other command starts without
+    # only the bust command needs them; every other command, and the
+    # attack search behind `attack`, starts without
     src = str(Path(aesdfa.__file__).resolve().parent.parent)
-    code = "import sys, aesdfa.cli; print(sorted({'numpy', 'cryptography'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    for module in ("aesdfa.cli", "aesdfa.orchestrator"):
+        code = f"import sys, {module}; print(sorted({{'numpy', 'cryptography'}} & set(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]", module
+
+
+def spaced(text):
+    """Same length, but two spaces stand in for the last byte, as in
+    "6b d5 61..."; bytes.fromhex would skip them and decode one byte short."""
+    return f"{text[:2]} {text[2:4]} {text[4:-2]}"
+
+
+@pytest.mark.parametrize("bad", [spaced, str.upper], ids=["spaced", "upper"])
+class TestStrictHex:
+    # every hex input is lowercase 0-9a-f pairs, nothing else
+
+    def test_record(self, runner, tmp_path, bad):
+        out = simulate_to(runner, tmp_path)
+        lines = out.read_text().splitlines()
+        raw = json.loads(lines[2])
+        raw["ciphertext"] = bad(raw["ciphertext"])
+        lines[2] = json.dumps(raw)
+        out.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"]
+        )
+        assert result.exit_code == 2
+        assert "line 3" in result.output
+
+    def test_key_flag(self, runner, tmp_path, bad):
+        out = simulate_to(runner, tmp_path)
+        result = runner.invoke(main, ["localize", str(out), "--key", bad(KEY.hex())])
+        assert result.exit_code == 2
+        assert "key is not valid hex" in result.output
+
+    @pytest.mark.parametrize("flag", ["--plaintext", "--clean-ct"])
+    def test_block_flags(self, runner, tmp_path, bad, flag):
+        out = simulate_to(runner, tmp_path)
+        blocks = {"--plaintext": PT.hex(), "--clean-ct": encrypt_block(PT, expand_key(KEY)).hex()}
+        blocks[flag] = bad(blocks[flag])
+        result = runner.invoke(
+            main,
+            ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25",
+             *(x for kv in blocks.items() for x in kv)],
+        )
+        assert result.exit_code == 2
+        assert f"{flag} is not valid hex" in result.output
+        assert result.stdout == ""
+
+    def test_config(self, runner, tmp_path, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace(f"plaintext = {PT.hex()}", f"plaintext = {bad(PT.hex())}"))
+        result = runner.invoke(main, ["simulate", str(cfg)])
+        assert result.exit_code == 2
+        assert "line 2" in result.output
+
+    def test_artifacts(self, runner, tmp_path, bad):
+        path = artifact_file(tmp_path, [bytes(range(16))])
+        raw = json.loads(path.read_text())
+        raw["c1"] = bad(raw["c1"])
+        path.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["bust", str(path)])
+        assert result.exit_code == 2
+        assert "invalid hex" in result.output
+        assert result.stdout == ""
+
+
+def artifact_file(tmp_path, hiddens):
+    eng = KeyslotEngine()
+    eng.add_slot(1, KEY, master=True)
+    fixed = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    sets = []
+    for hidden in hiddens:
+        hidden_input = encrypt_block(hidden, expand_key(KEY))
+        sets.append(
+            artifacts_to_dict(
+                run_borrow_chain(eng, 1, 2, hidden_input, fixed, chunk_bits=16)
+            )
+        )
+    path = tmp_path / "artifacts.json"
+    path.write_text(json.dumps(sets if len(sets) != 1 else sets[0]))
+    return path
 
 
 class TestBust:
-    def artifact_file(self, tmp_path, hiddens):
-        eng = KeyslotEngine()
-        eng.add_slot(1, KEY, master=True)
-        fixed = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-        sets = []
-        for hidden in hiddens:
-            hidden_input = encrypt_block(hidden, expand_key(KEY))
-            sets.append(
-                artifacts_to_dict(
-                    run_borrow_chain(eng, 1, 2, hidden_input, fixed, chunk_bits=16)
-                )
-            )
-        path = tmp_path / "artifacts.json"
-        path.write_text(json.dumps(sets if len(sets) != 1 else sets[0]))
-        return path
-
     def test_single_set(self, runner, tmp_path):
         hidden = bytes(range(16))
-        path = self.artifact_file(tmp_path, [hidden])
+        path = artifact_file(tmp_path, [hidden])
         result = runner.invoke(main, ["bust", str(path)])
         assert result.exit_code == 0, result.output
         assert result.stdout.strip() == hidden.hex()
@@ -263,7 +327,7 @@ class TestBust:
     def test_multiple_sets_and_failure(self, runner, tmp_path):
         # the tampered set sits between good ones: later sets still run
         hiddens = [bytes(range(16)), bytes(range(16, 32)), bytes(range(32, 48))]
-        path = self.artifact_file(tmp_path, hiddens)
+        path = artifact_file(tmp_path, hiddens)
         sets = json.loads(path.read_text())
         sets[1]["c3"] = "00" * 16
         path.write_text(json.dumps(sets))
@@ -279,7 +343,7 @@ class TestBust:
         assert result.exit_code == 2
 
     def test_workers_below_one(self, runner, tmp_path):
-        path = self.artifact_file(tmp_path, [bytes(range(16))])
+        path = artifact_file(tmp_path, [bytes(range(16))])
         result = runner.invoke(main, ["bust", str(path), "--workers", "0"])
         assert result.exit_code == 2
         assert result.stdout == ""

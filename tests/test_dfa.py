@@ -1,16 +1,18 @@
 import random
+from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key, xor_bytes
+from aesdfa.aes import INV_SBOX, AesOp, StepId, encrypt_block, expand_key, gf_mul, xor_bytes
 from aesdfa.dfa import (
     DIAGONAL_GROUPS,
     AES_TABLES,
     InconsistentPairError,
     column_candidates,
+    column_pattern,
     group_of_diff,
     last_round_key,
     penultimate_round_key,
@@ -18,7 +20,11 @@ from aesdfa.dfa import (
 )
 from aesdfa.faults import FaultSpec, encrypt_with_faults
 from aesdfa.aes import invert_key_schedule
-from toycipher import TOY_TABLES, exhaustive_tuples, toy_fault_pair
+from simhelpers import fault_campaign
+from toycipher import TOY_TABLES, exhaustive_tuples, pack, toy_fault_pair
+
+KEY = bytes.fromhex("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
+PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
 def byte_fault(round_, pos, value):
@@ -66,7 +72,7 @@ class TestColumnCandidates:
                 cand = column_candidates(
                     [ref[p] for p in g.positions], [faulty[p] for p in g.positions], g
                 )
-                assert tuple(k_last[p] for p in g.positions) in cand.tuples
+                assert pack(k_last[p] for p in g.positions) in cand.tuples
 
     def test_identical_bytes_rejected(self):
         with pytest.raises(ValueError, match="identical"):
@@ -108,11 +114,39 @@ class TestColumnCandidates:
                 for ct in cts
             ]
             joint = cands[0].intersect(cands[1])
-            expected = tuple(ks.round_keys[14][p] for p in g.positions)
+            expected = pack(ks.round_keys[14][p] for p in g.positions)
             assert expected in joint.tuples
             if len(joint.tuples) == 1:
                 singletons += 1
         assert singletons >= 18
+
+
+def predicate_tuples(ref, faulty):
+    """The defining predicate, enumerated the long way: every (row, eps)
+    and, per position, every key byte whose differential equals coeff*eps."""
+    by_diff = []
+    for c, f in zip(ref, faulty):
+        solutions = {}
+        for k in range(256):
+            solutions.setdefault(INV_SBOX[c ^ k] ^ INV_SBOX[f ^ k], []).append(k)
+        by_diff.append(solutions)
+    tuples = set()
+    for row in range(4):
+        coeffs = column_pattern(row)
+        for eps in range(1, 256):
+            per_pos = [by_diff[i].get(gf_mul(coeffs[i], eps), []) for i in range(4)]
+            tuples.update(pack(t) for t in product(*per_pos))
+    return frozenset(tuples)
+
+
+group_bytes = st.lists(st.integers(0, 255), min_size=4, max_size=4)
+
+
+@given(ref=group_bytes, faulty=group_bytes)
+@settings(max_examples=60, deadline=None)
+def test_table_enumeration_equals_predicate(ref, faulty):
+    assume(ref != faulty)
+    assert column_candidates(ref, faulty, DIAGONAL_GROUPS[0]).tuples == predicate_tuples(ref, faulty)
 
 
 class TestLastRoundKey:
@@ -123,6 +157,31 @@ class TestLastRoundKey:
         result = last_round_key(ref, [f1, f2])
         assert result.key == ks.round_keys[14]
         assert result.used == [0, 1]
+
+    def test_small_product_lists_every_key(self):
+        # seed 27's two faults leave 2 tuples in group 1
+        clean, r2, _ = fault_campaign(KEY, PT, random.Random(27), n_r2=2, n_r3=0)
+        result = last_round_key(clean, r2)
+        assert [len(col.tuples) for col in result.candidates] == [1, 2, 1, 1]
+        assert result.key is None
+        assert len(result.keys) == 2 and expand_key(KEY).round_keys[14] in result.keys
+
+    def test_large_product_lists_no_key(self):
+        clean, r2, _ = fault_campaign(KEY, PT, random.Random(342), n_r2=2, n_r3=0)
+        result = last_round_key(clean, r2)
+        assert [len(col.tuples) for col in result.candidates] == [1, 1, 1, 1248]
+        assert result.keys == [] and result.key is None
+
+    def test_memo_gives_the_same_result(self):
+        rng = random.Random(37)
+        ks, pt, ref, f1 = make_pair(rng)
+        f2 = encrypt_with_faults(pt, ks, [byte_fault(12, 6, 0x5A)])
+        memo = {}
+        plain = last_round_key(ref, [f1, f2])
+        for _ in range(2):
+            cached = last_round_key(ref, [f1, f2], memo=memo)
+            assert cached.candidates == plain.candidates and cached.keys == plain.keys
+        assert len(memo) == 8
 
     def test_empty_list_is_unconstrained(self):
         result = last_round_key(bytes(16), [])
@@ -220,7 +279,7 @@ class TestSingleColumnKey:
             (group,) = group_of_diff(xor_bytes(ref, ct))
             result = single_column_key(ref, [ct])
             assert [c is not None for c in result.candidates] == [g == group for g in DIAGONAL_GROUPS]
-            truth = tuple(ks.round_keys[14][p] for p in group.positions)
+            truth = pack(ks.round_keys[14][p] for p in group.positions)
             assert truth in result.candidates[group.index].tuples
 
     def test_zero_diff_rejected(self):
@@ -300,7 +359,7 @@ class TestToyEquivalence:
             cand = column_candidates(ref, faulty, g, tables=TOY_TABLES)
             oracle = exhaustive_tuples(ref, faulty)
             assert cand.tuples == oracle
-            assert tuple(key) in cand.tuples
+            assert pack(key) in cand.tuples
 
 
 class TestSoundnessProperties:
@@ -322,7 +381,7 @@ class TestSoundnessProperties:
         faulty = encrypt_with_faults(pt, ks, [byte_fault(12, pos, value)])
         result = last_round_key(ref, [faulty])
         for col in result.candidates:
-            assert tuple(ks.round_keys[14][p] for p in col.group.positions) in col.tuples
+            assert pack(ks.round_keys[14][p] for p in col.group.positions) in col.tuples
 
     @given(
         pos=st.integers(0, 15),
@@ -345,7 +404,7 @@ class TestSoundnessProperties:
             [peel_final_round(faulty, ks.round_keys[14])],
         )
         for col in result.candidates:
-            assert tuple(peeled_target[p] for p in col.group.positions) in col.tuples
+            assert pack(peeled_target[p] for p in col.group.positions) in col.tuples
 
 
 def test_column_patterns_are_rotations():

@@ -13,13 +13,7 @@ from aesdfa.aes import (
     flat_index,
     xor_bytes,
 )
-from aesdfa.faults import (
-    FaultRole,
-    FaultSpec,
-    decrypt_with_faults,
-    encrypt_with_faults,
-    push_mask_forward,
-)
+from aesdfa.faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
 
 KS = expand_key(bytes(range(32)))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -108,27 +102,6 @@ def test_same_step_masks_xor(p1, v1, p2, v2, rnd):
         assert double == encrypt_block(PT, KS)
 
 
-def test_mask_pushes_through_linear_steps():
-    rng = random.Random(9)
-    linear_ops = (AesOp.SHIFT_ROWS, AesOp.MIX_COLUMNS, AesOp.ADD_ROUND_KEY)
-    checked = 0
-    while checked < 100:
-        rnd = rng.randrange(1, 14)
-        op = rng.choice(linear_ops)
-        step = StepId(rnd, op)
-        mask = byte_mask(rng.randrange(16), rng.randrange(1, 256))
-        nxt, moved = push_mask_forward(step, mask, KS.n_rounds)
-        at_step = encrypt_with_faults(PT, KS, [FaultSpec(step, mask)])
-        at_next = encrypt_with_faults(PT, KS, [FaultSpec(nxt, moved)])
-        assert at_step == at_next
-        checked += 1
-
-
-def test_push_through_sub_bytes_rejected():
-    with pytest.raises(ValueError, match="SubBytes"):
-        push_mask_forward(StepId(5, AesOp.SUB_BYTES), byte_mask(0, 1), 14)
-
-
 def test_decrypt_direction_consistency():
     # re-encrypting a faulted decrypt output equals the faulted encrypt output
     rng = random.Random(13)
@@ -139,11 +112,3 @@ def test_decrypt_direction_consistency():
         ct_clean = encrypt_block(pt, KS)
         faulty_pt = decrypt_with_faults(ct_clean, KS, [fault])
         assert encrypt_block(faulty_pt, KS) == encrypt_with_faults(pt, KS, [fault])
-
-
-def test_static_role_is_metadata_only():
-    step = StepId(12, AesOp.MIX_COLUMNS)
-    mask = byte_mask(3, 0x80)
-    as_static = encrypt_with_faults(PT, KS, [FaultSpec(step, mask, FaultRole.STATIC)])
-    as_dynamic = encrypt_with_faults(PT, KS, [FaultSpec(step, mask, FaultRole.DYNAMIC)])
-    assert as_static == as_dynamic

@@ -1,9 +1,11 @@
 import json
 import random
+import sys
 from math import comb
 
 import pytest
 
+from aesdfa import dfa, orchestrator
 from aesdfa.aes import encrypt_block, expand_key
 from aesdfa.orchestrator import recover_key, verify_key
 from simhelpers import fault_campaign
@@ -118,13 +120,25 @@ class TestSearch:
         report = recover_key(clean, r2, r3, PT, mode="pairwise")
         assert report.recovered_key is None
         assert report.groupings_attempted == {"last_round": 3, "penultimate": 3}
-        assert report.failure == "stage last_round exhausted after 3 groupings"
+        assert report.failure == "stage penultimate exhausted after 3 groupings"
 
     def test_budget_trips_in_penultimate_stage(self):
         clean, r2, r3 = self._dead_second_stage()
         report = recover_key(clean, r2, r3, PT, mode="pairwise", max_groupings=2)
         assert report.groupings_attempted == {"last_round": 1, "penultimate": 1}
         assert report.failure == "grouping budget of 2 exhausted in stage penultimate"
+
+    def test_second_order_names_too_few_distinct_faults(self):
+        # the round-11 pool repeats one of its 2 ciphertexts: every triple
+        # has a duplicate, so the penultimate stage cannot solve
+        rng = random.Random(163)
+        clean, r2, r3 = fault_campaign(KEY, PT, rng, n_r2=3, n_r3=2, pinned_pos=4)
+        report = recover_key(clean, r2, [*r3, r3[0]], PT, mode="second_order")
+        assert report.recovered_key is None
+        assert report.failure == (
+            "stage penultimate exhausted after 3 groupings: "
+            "second order needs 3 distinct faulty ciphertexts, got 2"
+        )
 
     @pytest.mark.parametrize("key_size", [128, 256])
     def test_unverified_key_is_never_reported(self, key_size):
@@ -137,6 +151,72 @@ class TestSearch:
         assert report.recovered_key is None
         assert report.groupings_succeeded == 0
         assert not any(report.usable_last_round + report.usable_earlier_round)
+
+
+def counting_verify(monkeypatch):
+    calls = []
+
+    def verify(key, pt, clean_ct):
+        calls.append(key)
+        return verify_key(key, pt, clean_ct)
+
+    monkeypatch.setattr(orchestrator, "verify_key", verify)
+    return calls
+
+
+class TestSmallProducts:
+    # two faults per stage; these seeds leave one group with 2 tuples in
+    # the stage named, and the other stage pinned
+    @pytest.mark.parametrize("seed, stage", [(27, "last_round"), (17, "penultimate")])
+    def test_two_tuple_group_is_recovered(self, monkeypatch, seed, stage):
+        clean, r2, r3 = fault_campaign(KEY, PT, random.Random(seed), n_r2=2, n_r3=2)
+        verified = counting_verify(monkeypatch)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
+        assert report.recovered_key == KEY
+        assert report.groupings_attempted[stage] == 1
+        assert 1 <= len(verified) <= 2
+        assert report.usable_last_round == report.usable_earlier_round == [True, True]
+
+    def test_large_product_is_never_enumerated(self, monkeypatch):
+        clean, r2, r3 = fault_campaign(KEY, PT, random.Random(342), n_r2=2, n_r3=2)
+        sizes = [len(col.tuples) for col in dfa.last_round_key(clean, r2).candidates]
+        assert sizes == [1, 1, 1, 1248]
+        verified = counting_verify(monkeypatch)
+        report = recover_key(clean, r2, r3, PT, mode="pairwise")
+        assert report.recovered_key is None
+        assert verified == []
+        assert report.failure == "stage last_round exhausted after 1 groupings"
+
+
+class TestMemo:
+    def test_interleaved_searches_match_fresh_ones(self):
+        campaigns = [fault_campaign(KEY, PT, random.Random(seed), n_r2=4, n_r3=4) for seed in (171, 172)]
+        fresh = [recover_key(*c, PT, exhaustive=True).to_json() for c in campaigns]
+        interleaved = [recover_key(*c, PT, exhaustive=True).to_json() for c in campaigns * 2]
+        assert interleaved == fresh * 2
+
+    def test_one_memo_per_search_and_none_survives(self, monkeypatch):
+        memos = []
+
+        def recording(solve):
+            def wrapper(*args, memo, **kwargs):
+                memos.append(memo)
+                return solve(*args, memo=memo, **kwargs)
+
+            return wrapper
+
+        for name in ("last_round_key", "penultimate_round_key"):
+            monkeypatch.setattr(orchestrator, name, recording(getattr(dfa, name)))
+        clean, r2, r3 = fault_campaign(KEY, PT, random.Random(173), n_r2=4, n_r3=4)
+        for _ in range(2):
+            assert recover_key(clean, r2, r3, PT, mode="pairwise").recovered_key == KEY
+        first, second = memos[0], memos[-1]
+        assert first is not second
+        assert all(m is first for m in memos[: memos.index(second)])
+        assert len(first) > 0
+        del memos
+        # only `first` and getrefcount's own argument hold it now
+        assert sys.getrefcount(first) == 2
 
 
 class TestRecoverKey:

@@ -36,6 +36,11 @@ for _c in range(1, 16):
         _DIV[gf16_mul(_c, _e), _c] = _e
 
 
+def pack(values) -> int:
+    """One group's 4 values as the solver stores them: value i at bits 8i."""
+    return sum(v << 8 * i for i, v in enumerate(values))
+
+
 def toy_fault_pair(rng):
     """One synthetic (key, ref, faulty) column produced by a genuine fault."""
     key = [rng.randrange(16) for _ in range(4)]
@@ -54,7 +59,7 @@ def exhaustive_tuples(ref, faulty):
     Checks the defining predicate for every one of the 16^4 tuples: does
     some (eps, row) make inv_sbox(ref^k) ^ inv_sbox(faulty^k) equal
     coeff*eps on all four positions. Vectorized but definitional; it shares
-    no code path with the solver.
+    no code path with the solver. Tuples come back packed, as `pack` does.
     """
     inv = np.array(TOY_INV_SBOX, dtype=np.uint8)
     ks = np.arange(16, dtype=np.uint8)
@@ -69,4 +74,4 @@ def exhaustive_tuples(ref, faulty):
         cond = cond & (_MUL[coeffs[2]][eps][:, None, None, None] == d[2][None, None, :, None])
         cond = cond & (_MUL[coeffs[3]][eps][:, None, None, None] == d[3][None, None, None, :])
         ok |= cond
-    return frozenset(tuple(int(v) for v in idx) for idx in np.argwhere(ok))
+    return frozenset(pack(int(v) for v in idx) for idx in np.argwhere(ok))
