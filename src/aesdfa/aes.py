@@ -3,10 +3,16 @@
 The cipher state is 16 bytes in FIPS column-major order: flat index i holds
 the byte at row i % 4, column i // 4. Blocks cross the public API as
 ``bytes`` of length 16; hex strings are lowercase, 32 chars, no separators.
+The cipher core keeps the state as ``bytes`` too: SubBytes is a
+``bytes.translate``, ShiftRows an index permutation, (Inv)MixColumns four
+256-entry column tables, and AddRoundKey and fault taps an integer XOR.
 
 Rounds are numbered 1..N for the cipher rounds and 0 for the initial
 round-key addition. Traces record one entry per operation *output*, from the
 initial AddRoundKey through the final AddRoundKey (56 entries for AES-256).
+The clean trace of the last few (plaintext, key schedule) pairs is cached:
+`encrypt_trace` returns it, and a faulted encryption resumes from it at the
+first tapped step instead of rerunning the rounds before the fault.
 
 Everything here is pure and value-based; results are safe to share across
 threads.
@@ -14,6 +20,8 @@ threads.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -176,66 +184,38 @@ def gf_mul(a: int, b: int) -> int:
     return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
-_MUL2 = bytes(gf_mul(i, 2) for i in range(256))
-_MUL3 = bytes(gf_mul(i, 3) for i in range(256))
-_MUL9 = bytes(gf_mul(i, 9) for i in range(256))
-_MUL11 = bytes(gf_mul(i, 11) for i in range(256))
-_MUL13 = bytes(gf_mul(i, 13) for i in range(256))
-_MUL14 = bytes(gf_mul(i, 14) for i in range(256))
+def _column_tables(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # T_j[a] holds a's contribution through input row j to all four output
+    # rows of a column, row r at bits 8r; a column is T_0^T_1^T_2^T_3
+    # (the T-table form of Daemen & Rijmen, The Design of Rijndael, 2002)
+    prods = [[gf_mul(a, c) for c in coeffs] for a in range(256)]
+    return tuple(
+        tuple(sum(p[(j - r) % 4] << (8 * r) for r in range(4)) for p in prods)
+        for j in range(4)
+    )
+
+
+_MIX_TABLES = _column_tables((2, 3, 1, 1))
+_INV_MIX_TABLES = _column_tables((14, 11, 13, 9))
+_SBOX_BYTES = bytes(SBOX)
+_INV_SBOX_BYTES = bytes(INV_SBOX)
 
 # ShiftRows as a flat-index permutation: output i takes input _SR_PERM[i].
 _SR_PERM = tuple(4 * ((i // 4 + i % 4) % 4) + i % 4 for i in range(16))
-_INV_SR_PERM = tuple(_SR_PERM.index(i) for i in range(16))
+_shift = operator.itemgetter(*_SR_PERM)
+_inv_shift = operator.itemgetter(*(_SR_PERM.index(i) for i in range(16)))
 
 
 # ---------------------------------------------------------------------------
-# Single operations on flat 16-int lists (internal) and bytes (public)
-
-
-def _sub(s):
-    return [SBOX[b] for b in s]
-
-
-def _inv_sub(s):
-    return [INV_SBOX[b] for b in s]
-
-
-def _shift(s):
-    return [s[p] for p in _SR_PERM]
-
-
-def _inv_shift(s):
-    return [s[p] for p in _INV_SR_PERM]
-
-
-def _mix(s):
-    out = [0] * 16
-    for c in (0, 4, 8, 12):
-        a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-        out[c] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-        out[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-        out[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-        out[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-    return out
-
-
-def _inv_mix(s):
-    out = [0] * 16
-    for c in (0, 4, 8, 12):
-        a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-        out[c] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-        out[c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-        out[c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-        out[c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
-    return out
+# Single operations on 16-byte states
 
 
 def sub_bytes(block: bytes) -> bytes:
-    return bytes(_sub(block))
+    return bytes(block).translate(_SBOX_BYTES)
 
 
 def inv_sub_bytes(block: bytes) -> bytes:
-    return bytes(_inv_sub(block))
+    return bytes(block).translate(_INV_SBOX_BYTES)
 
 
 def shift_rows(block: bytes) -> bytes:
@@ -246,18 +226,28 @@ def inv_shift_rows(block: bytes) -> bytes:
     return bytes(_inv_shift(block))
 
 
+def _mix_with(s, tables) -> bytes:
+    t0, t1, t2, t3 = tables
+    return (
+        (t0[s[0]] ^ t1[s[1]] ^ t2[s[2]] ^ t3[s[3]])
+        | (t0[s[4]] ^ t1[s[5]] ^ t2[s[6]] ^ t3[s[7]]) << 32
+        | (t0[s[8]] ^ t1[s[9]] ^ t2[s[10]] ^ t3[s[11]]) << 64
+        | (t0[s[12]] ^ t1[s[13]] ^ t2[s[14]] ^ t3[s[15]]) << 96
+    ).to_bytes(16, "little")
+
+
 def mix_columns(block: bytes) -> bytes:
-    return bytes(_mix(block))
+    return _mix_with(block, _MIX_TABLES)
 
 
 def inv_mix_columns(block: bytes) -> bytes:
-    return bytes(_inv_mix(block))
+    return _mix_with(block, _INV_MIX_TABLES)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def flat_index(row: int, col: int) -> int:
@@ -391,57 +381,51 @@ def invert_key_schedule(key_size: int, trailing_keys: Sequence[bytes]) -> bytes:
 # Cipher cores. `taps` maps a StepId to a 16-byte XOR mask applied to the
 # state *entering* that operation; `trace` collects operation outputs.
 
+_FORWARD_OPS = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
+_INVERSE_OPS = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, AesOp.MIX_COLUMNS: inv_mix_columns}
+# per round count: the steps in encryption order, each paired with its
+# single operation (None for either AddRoundKey flavour)
+_STEPS = {n: tuple(cipher_steps(n)) for n in ROUNDS_BY_KEY_LEN.values()}
+_FORWARD = {n: tuple((step, _FORWARD_OPS.get(step.op)) for step in steps) for n, steps in _STEPS.items()}
+_INVERSE = {n: tuple((step, _INVERSE_OPS.get(step.op)) for step in reversed(steps)) for n, steps in _STEPS.items()}
+_STEP_INDEX = {n: {step: i for i, step in enumerate(steps)} for n, steps in _STEPS.items()}
+# clean traces kept for reuse: a campaign encrypts one plaintext many times
+_TRACE_CACHE_SIZE = 32
 
-def _xor_into(state: list[int], mask: bytes) -> list[int]:
-    return [s ^ m for s, m in zip(state, mask)]
 
-
-def _cipher(pt: bytes, ks: KeySchedule, taps=None, trace=None) -> bytes:
-    n = ks.n_rounds
+def _cipher(state: bytes, ks: KeySchedule, start: int = 0, taps=None, trace=None) -> bytes:
     rks = ks.round_keys
-    state = list(pt)
-    for step in cipher_steps(n):
-        if taps is not None:
+    for step, op in _FORWARD[ks.n_rounds][start:]:
+        if taps:
             mask = taps.get(step)
             if mask is not None:
-                state = _xor_into(state, mask)
-        op = step.op
-        if op is AesOp.SUB_BYTES:
-            state = _sub(state)
-        elif op is AesOp.SHIFT_ROWS:
-            state = _shift(state)
-        elif op is AesOp.MIX_COLUMNS:
-            state = _mix(state)
-        else:  # either AddRoundKey flavour
-            state = _xor_into(state, rks[step.round])
+                state = xor_bytes(state, mask)
+        state = xor_bytes(state, rks[step.round]) if op is None else op(state)
         if trace is not None:
-            trace.append(TraceEntry(step, bytes(state)))
-    return bytes(state)
+            trace.append(TraceEntry(step, state))
+    return state
 
 
-def _inv_cipher(ct: bytes, ks: KeySchedule, taps=None, trace=None) -> bytes:
-    n = ks.n_rounds
+def _inv_cipher(state: bytes, ks: KeySchedule, taps=None, trace=None) -> bytes:
     rks = ks.round_keys
-    state = list(ct)
-    for step in reversed(cipher_steps(n)):
+    for step, op in _INVERSE[ks.n_rounds]:
         # the state here is the step's output in encryption direction
         if trace is not None:
-            trace.append(TraceEntry(step, bytes(state)))
-        op = step.op
-        if op is AesOp.SUB_BYTES:
-            state = _inv_sub(state)
-        elif op is AesOp.SHIFT_ROWS:
-            state = _inv_shift(state)
-        elif op is AesOp.MIX_COLUMNS:
-            state = _inv_mix(state)
-        else:
-            state = _xor_into(state, rks[step.round])
-        if taps is not None:
+            trace.append(TraceEntry(step, state))
+        state = xor_bytes(state, rks[step.round]) if op is None else op(state)
+        if taps:
             # now at the state entering `step`, where a fault would land
             mask = taps.get(step)
             if mask is not None:
-                state = _xor_into(state, mask)
-    return bytes(state)
+                state = xor_bytes(state, mask)
+    return state
+
+
+@functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
+def _clean_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
+    entries: list[TraceEntry] = []
+    ct = _cipher(pt, ks, trace=entries)
+    return ct, tuple(entries)
 
 
 def _check_block(block: bytes, name: str) -> None:
@@ -451,20 +435,22 @@ def _check_block(block: bytes, name: str) -> None:
 
 def encrypt_block(pt: bytes, ks: KeySchedule) -> bytes:
     _check_block(pt, "plaintext")
-    return _cipher(pt, ks)
+    return _cipher(bytes(pt), ks)
 
 
 def decrypt_block(ct: bytes, ks: KeySchedule) -> bytes:
     _check_block(ct, "ciphertext")
-    return _inv_cipher(ct, ks)
+    return _inv_cipher(bytes(ct), ks)
 
 
 def encrypt_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
-    """Encrypt and return (ciphertext, per-operation output trace)."""
+    """Encrypt and return (ciphertext, per-operation output trace).
+
+    The last few (plaintext, key schedule) pairs keep their result, so
+    repeated calls with one campaign's plaintext cost a lookup.
+    """
     _check_block(pt, "plaintext")
-    entries: list[TraceEntry] = []
-    ct = _cipher(pt, ks, trace=entries)
-    return ct, tuple(entries)
+    return _clean_trace(bytes(pt), ks)
 
 
 def decrypt_trace(ct: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
@@ -476,15 +462,27 @@ def decrypt_trace(ct: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     """
     _check_block(ct, "ciphertext")
     entries: list[TraceEntry] = []
-    pt = _inv_cipher(ct, ks, trace=entries)
+    pt = _inv_cipher(bytes(ct), ks, trace=entries)
     return pt, tuple(reversed(entries))
 
 
 def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool = False) -> bytes:
     """Encrypt `block`, or decrypt it with `inverse`, XORing each tap mask
-    into the state entering its encryption-direction step."""
+    into the state entering its encryption-direction step.
+
+    Encryption resumes from the cached clean trace at the earliest tapped
+    step, so a fault late in the cipher costs only the rounds after it.
+    """
     _check_block(block, "ciphertext" if inverse else "plaintext")
-    return (_inv_cipher if inverse else _cipher)(block, ks, taps=taps or None)
+    block = bytes(block)
+    if inverse:
+        return _inv_cipher(block, ks, taps)
+    index = _STEP_INDEX[ks.n_rounds]
+    # a step this cipher lacks never fires, and makes the run start from `block`
+    start = min(index.get(step, 0) for step in taps) if taps else 0
+    if start:
+        block = _clean_trace(block, ks)[1][start - 1].state
+    return _cipher(block, ks, start, taps)
 
 
 def peel_final_round(ct: bytes, k_last: bytes) -> bytes:
@@ -496,5 +494,4 @@ def peel_final_round(ct: bytes, k_last: bytes) -> bytes:
     """
     _check_block(ct, "ciphertext")
     _check_block(k_last, "round key")
-    state = _xor_into(list(ct), k_last)
-    return bytes(_inv_mix(_inv_shift(_inv_sub(state))))
+    return inv_mix_columns(inv_sub_bytes(inv_shift_rows(xor_bytes(ct, k_last))))

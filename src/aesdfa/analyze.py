@@ -37,6 +37,7 @@ class OffsetStats:
 
     samples: int = 0
     faulted: int = 0
+    ambiguous: int = 0  # faulted samples the localizer could not pin to one stretch
     step_counts: Counter = field(default_factory=Counter)
     bit_counts: Counter = field(default_factory=Counter)
     single_byte_steps: Counter = field(default_factory=Counter)
@@ -85,6 +86,7 @@ def build_profile(ks: KeySchedule, records: Iterable[CiphertextRecord]) -> Offse
         if report is None:
             continue
         stats.faulted += 1
+        stats.ambiguous += report.ambiguous
         stats.step_counts[report.step] += 1
         stats.bit_counts[report.hamming] += 1
         if sum(1 for b in report.mask if b) == 1:

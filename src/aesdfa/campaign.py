@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .aes import ROUNDS_BY_KEY_LEN, StepId, block_from_hex, bytes_from_hex, encrypt_block, expand_key
+from .aes import ROUNDS_BY_KEY_LEN, StepId, block_from_hex, bytes_from_hex, encrypt_trace, expand_key
 from .faults import FaultSpec, encrypt_with_faults
 
 __all__ = [
@@ -196,7 +196,7 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     """
     rng = random.Random(cfg.seed)
     ks = expand_key(cfg.key)
-    clean_ct = encrypt_block(cfg.plaintext, ks)
+    clean_ct, _ = encrypt_trace(cfg.plaintext, ks)
     pt_hex = cfg.plaintext.hex()
 
     records = [

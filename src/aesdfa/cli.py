@@ -14,7 +14,7 @@ import time
 
 import click
 
-from .aes import AesOp, ROUNDS_BY_KEY_LEN, bytes_from_hex, encrypt_block, expand_key
+from .aes import AesOp, ROUNDS_BY_KEY_LEN, bytes_from_hex, encrypt_trace, expand_key
 from .analyze import NoViableOffset, build_profile, recommend_offsets, render_table
 from .campaign import (
     ConfigError,
@@ -52,9 +52,18 @@ def _load_records(fp):
         _fail(2, str(err))
 
 
+def _unique_keys(pairs):
+    # json.load keeps the last of repeated keys; an artifact file must not repeat any
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _check_key_matches(ks, records):
     for record in records:
-        if not record.faulted and encrypt_block(record.plaintext, ks) != record.ciphertext:
+        if not record.faulted and encrypt_trace(record.plaintext, ks)[0] != record.ciphertext:
             _fail(2, "the supplied key does not reproduce the campaign's clean ciphertexts")
 
 
@@ -138,6 +147,7 @@ def histogram(records, key_hex, profile_json):
             str(offset): {
                 "samples": stats.samples,
                 "faulted": stats.faulted,
+                "ambiguous": stats.ambiguous,
                 "steps": {str(step): count for step, count in sorted(stats.step_counts.items())},
                 "bits": {str(b): c for b, c in sorted(stats.bit_counts.items())},
             }
@@ -267,21 +277,26 @@ def bust(artifacts, workers, borrow):
     """Reconstruct hidden blocks from borrow-chain artifact JSON.
 
     The file holds one artifact object or a list of them; each object has
-    fixed_key, chunk_bits, and hex blocks c1..cN (cN from the slave slot).
+    fixed_key, an integer chunk_bits, and hex blocks named exactly c1..cN
+    (cN from the slave slot), with no key repeated.
     Hidden blocks print to stdout, one hex line per artifact set.
     """
     # numpy and cryptography load only here: no other command needs them
     from .buster import ArtifactMismatch, bust as bust_artifacts
 
     try:
-        raw = json.load(artifacts)
+        raw = json.load(artifacts, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         _fail(2, f"line {err.lineno}: invalid JSON ({err.msg})")
-    items = raw if isinstance(raw, list) else [raw]
-    try:
-        sets = [artifacts_from_dict(item) for item in items]
     except ValueError as err:
         _fail(2, str(err))
+    items = raw if isinstance(raw, list) else [raw]
+    sets = []
+    for index, item in enumerate(items):
+        try:
+            sets.append(artifacts_from_dict(item))
+        except ValueError as err:
+            _fail(2, f"set {index}: {err}")
 
     failures = 0
     for index, art in enumerate(sets):

@@ -200,16 +200,21 @@ def artifacts_to_dict(art: BorrowArtifacts) -> dict:
 
 
 def artifacts_from_dict(raw: dict) -> BorrowArtifacts:
+    """Inverse of artifacts_to_dict. `chunk_bits` (default 32) must be an
+    integer, and the blocks exactly c1..cN: no gap, no leading zero."""
     try:
         fixed_key = bytes_from_hex(raw["fixed_key"])
-        chunk_bits = int(raw.get("chunk_bits", 32))
-        names = sorted(
-            (k for k in raw if k.startswith("c") and k[1:].isdigit()),
-            key=lambda k: int(k[1:]),
-        )
-        blocks = [bytes_from_hex(raw[name]) for name in names]
+        chunk_bits = raw.get("chunk_bits", 32)
+        names = [k for k in raw if k.startswith("c") and k[1:].isdigit()]
+        expected = [f"c{i}" for i in range(1, len(names) + 1)]
+        if set(names) != set(expected):
+            raise ValueError(f"blocks must be named c1..c{len(names)}, got {', '.join(names)}")
+        blocks = [bytes_from_hex(raw[name]) for name in expected]
     except (KeyError, ValueError, TypeError, AttributeError) as err:
         raise ValueError(f"bad artifact object: {err}") from None
+    # a JSON boolean parses as a Python int, so bool is ruled out first
+    if isinstance(chunk_bits, bool) or not isinstance(chunk_bits, int):
+        raise ValueError(f"chunk_bits must be an integer, got {chunk_bits!r}")
     if len(blocks) < 2:
         raise ValueError("artifact object needs blocks c1..cN")
     return BorrowArtifacts(

@@ -14,20 +14,17 @@ before and after ShiftRows). The run resolves toward the ciphertext: the
 fault is attributed to the operation following the last minimal entry,
 which matches how injected faults are specified (mask applied to the state
 entering an operation).
+
+The clean forward trace comes from `encrypt_trace`, which keeps it per
+(plaintext, key schedule), so a campaign's clean side is computed once and
+each record costs one inverse trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aes import (
-    KeySchedule,
-    StepId,
-    decrypt_trace,
-    encrypt_block,
-    encrypt_trace,
-    xor_bytes,
-)
+from .aes import KeySchedule, StepId, decrypt_trace, encrypt_trace
 
 __all__ = ["LocalizationReport", "localize"]
 
@@ -46,10 +43,6 @@ class LocalizationReport:
         return self.mask.hex()
 
 
-def _popcount(block: bytes) -> int:
-    return sum(b.bit_count() for b in block)
-
-
 def localize(ks: KeySchedule, pt: bytes, faulty_ct: bytes) -> LocalizationReport | None:
     """Identify the (round, operation) a faulty output was corrupted at.
 
@@ -61,13 +54,17 @@ def localize(ks: KeySchedule, pt: bytes, faulty_ct: bytes) -> LocalizationReport
     are not one contiguous stretch of the dataflow (a contiguous stretch is
     the same fault seen across linear operations and resolves cleanly).
     """
-    if encrypt_block(pt, ks) == faulty_ct:
+    clean_ct, forward = encrypt_trace(pt, ks)
+    if clean_ct == faulty_ct:
         return None
-    _, forward = encrypt_trace(pt, ks)
     _, backward = decrypt_trace(faulty_ct, ks)
 
-    diffs = [xor_bytes(f.state, b.state) for f, b in zip(forward, backward)]
-    weights = [_popcount(d) for d in diffs]
+    # each step's difference as one 128-bit int, byte 0 most significant
+    diffs = [
+        int.from_bytes(f.state, "big") ^ int.from_bytes(b.state, "big")
+        for f, b in zip(forward, backward)
+    ]
+    weights = [d.bit_count() for d in diffs]
     best = min(weights)
     minima = [i for i, w in enumerate(weights) if w == best]
     pick = minima[-1]  # latest in encryption order: the mask pushed up to the nonlinearity
@@ -82,7 +79,7 @@ def localize(ks: KeySchedule, pt: bytes, faulty_ct: bytes) -> LocalizationReport
         step = steps[pick]
     return LocalizationReport(
         step=step,
-        mask=diffs[pick],
+        mask=diffs[pick].to_bytes(16, "big"),
         hamming=best,
         ambiguous=not contiguous,
     )

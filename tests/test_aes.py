@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aesdfa.aes import (
+    INV_SBOX,
+    SBOX,
     AesOp,
     StepId,
     block_from_hex,
@@ -224,6 +226,25 @@ class TestOpsAndLayout:
         assert inv_sub_bytes(sub_bytes(block)) == block
         assert inv_shift_rows(shift_rows(block)) == block
         assert inv_mix_columns(mix_columns(block)) == block
+
+    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    @settings(max_examples=100)
+    def test_ops_match_definitions(self, block, other):
+        # FIPS-197 5.1.1-5.1.3 and 5.3.3 written out byte by byte
+        def matrix_times(coeffs, s):
+            # output row r of a column is sum_j coeffs[(j - r) % 4] * s[j]
+            return bytes(
+                oracle_gf_mul(coeffs[0 - r], s[c]) ^ oracle_gf_mul(coeffs[1 - r], s[c + 1])
+                ^ oracle_gf_mul(coeffs[2 - r], s[c + 2]) ^ oracle_gf_mul(coeffs[3 - r], s[c + 3])
+                for c in (0, 4, 8, 12) for r in range(4)
+            )
+
+        assert sub_bytes(block) == bytes(SBOX[b] for b in block)
+        assert inv_sub_bytes(block) == bytes(INV_SBOX[b] for b in block)
+        assert shift_rows(block) == bytes(block[flat_index(r, (c + r) % 4)] for c in range(4) for r in range(4))
+        assert mix_columns(block) == matrix_times((2, 3, 1, 1), block)
+        assert inv_mix_columns(block) == matrix_times((14, 11, 13, 9), block)
+        assert xor_bytes(block, other) == bytes(x ^ y for x, y in zip(block, other))
 
     def test_shift_rows_row_pattern(self):
         # row r rotates left by r across columns

@@ -1,5 +1,6 @@
 import pytest
 
+from aesdfa import analyze
 from aesdfa.aes import AesOp, StepId, expand_key
 from aesdfa.analyze import (
     NoViableOffset,
@@ -8,6 +9,7 @@ from aesdfa.analyze import (
     render_table,
 )
 from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign
+from aesdfa.localizer import LocalizationReport
 
 KEY = bytes(range(32))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -37,6 +39,24 @@ def test_profile_counts_match_records():
     assert sum(profile.bit_histogram().values()) == sum(
         s.faulted for s in profile.per_offset.values()
     )
+
+
+def test_profile_counts_ambiguous_reports(monkeypatch):
+    # the localizer never reports ambiguity on simulated single faults, so a
+    # stub decides it from the ciphertext's first byte
+    def stub(ks, pt, ct):
+        if ct[0] % 3 == 0:
+            return None
+        return LocalizationReport(step(12), bytes(15) + b"\x01", 1, ambiguous=ct[0] % 3 == 1)
+
+    monkeypatch.setattr(analyze, "localize", stub)
+    records = generate_campaign(sweep_config())
+    profile = build_profile(KS, records)
+    for offset, stats in profile.per_offset.items():
+        cts = [r.ciphertext for r in records if r.offset_n == offset]
+        assert stats.faulted == sum(1 for ct in cts if ct[0] % 3)
+        assert stats.ambiguous == sum(1 for ct in cts if ct[0] % 3 == 1)
+    assert sum(s.ambiguous for s in profile.per_offset.values()) > 0
 
 
 def test_profile_localizes_pinned_offsets():

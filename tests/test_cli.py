@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import aesdfa
+import aesdfa.analyze
 from aesdfa.aes import encrypt_block, expand_key
 from aesdfa.cli import main
 from aesdfa.engine import KeyslotEngine, artifacts_to_dict, run_borrow_chain
+from aesdfa.localizer import localize
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -108,6 +111,31 @@ class TestHistogram:
         payload = json.loads(dest.read_text())
         assert set(payload) == {"271.5", "272.25"}
         assert sum(v["samples"] for v in payload.values()) == 12
+        assert all(v["ambiguous"] == 0 for v in payload.values())
+
+    def test_profile_json_counts_ambiguous(self, runner, tmp_path, monkeypatch):
+        # no simulated fault localizes ambiguously, so every other report is marked so
+        out = simulate_to(runner, tmp_path)
+        plain = runner.invoke(main, ["histogram", str(out), "--key", KEY.hex()])
+        calls = []
+
+        def every_other_ambiguous(ks, pt, ct):
+            report = localize(ks, pt, ct)
+            calls.append(report)
+            if report is None or len(calls) % 2:
+                return report
+            return dataclasses.replace(report, ambiguous=True)
+
+        monkeypatch.setattr(aesdfa.analyze, "localize", every_other_ambiguous)
+        dest = tmp_path / "profile.json"
+        result = runner.invoke(
+            main, ["histogram", str(out), "--key", KEY.hex(), "--profile-json", str(dest)]
+        )
+        assert result.exit_code == 0
+        assert result.stdout == plain.stdout  # the tables do not show it
+        payload = json.loads(dest.read_text())
+        assert sum(v["ambiguous"] for v in payload.values()) == 6
+        assert all(v["ambiguous"] <= v["faulted"] for v in payload.values())
 
 
 class TestRecommend:
@@ -231,7 +259,7 @@ def test_import_leaves_out_numpy_and_cryptography():
     # attack search behind `attack`, starts without
     src = str(Path(aesdfa.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    for module in ("aesdfa.cli", "aesdfa.orchestrator"):
+    for module in ("aesdfa.cli", "aesdfa.orchestrator", "aesdfa.analyze", "aesdfa.localizer", "aesdfa.campaign"):
         code = f"import sys, {module}; print(sorted({{'numpy', 'cryptography'}} & set(sys.modules)))"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
@@ -341,6 +369,38 @@ class TestBust:
         path.write_text("{nope")
         result = runner.invoke(main, ["bust", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda s: s.update(chunk_bits=16.7), "chunk_bits must be an integer, got 16.7"),
+            (lambda s: s.update(chunk_bits="16"), "chunk_bits must be an integer, got '16'"),
+            (lambda s: s.update(chunk_bits=True), "chunk_bits must be an integer, got True"),
+            (lambda s: s.update(c9=s.pop("c8")), "blocks must be named c1..c8, got"),
+            (lambda s: s.update(c01=s.pop("c1")), "blocks must be named c1..c8, got"),
+        ],
+        ids=["fractional", "string", "bool", "gap", "leading-zero"],
+    )
+    def test_malformed_artifacts_name_their_set(self, runner, tmp_path, edit, message):
+        # the second of two sets is malformed; nothing is busted
+        path = artifact_file(tmp_path, [bytes(range(16)), bytes(range(16, 32))])
+        sets = json.loads(path.read_text())
+        edit(sets[1])
+        path.write_text(json.dumps(sets))
+        result = runner.invoke(main, ["bust", str(path)])
+        assert result.exit_code == 2
+        assert "set 1: " in result.output
+        assert message in result.output
+        assert result.stdout == ""
+
+    def test_duplicate_block_name(self, runner, tmp_path):
+        path = artifact_file(tmp_path, [bytes(range(16))])
+        text = path.read_text()
+        path.write_text(text.replace('"c1":', '"c1": "' + "00" * 16 + '", "c1":'))
+        result = runner.invoke(main, ["bust", str(path)])
+        assert result.exit_code == 2
+        assert "duplicate key 'c1'" in result.output
+        assert result.stdout == ""
 
     def test_workers_below_one(self, runner, tmp_path):
         path = artifact_file(tmp_path, [bytes(range(16))])

@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 from aesdfa.aes import (
     AesOp,
     StepId,
+    cipher_steps,
+    cipher_with_taps,
     encrypt_block,
     encrypt_trace,
     expand_key,
     flat_index,
+    inv_mix_columns,
+    inv_shift_rows,
+    inv_sub_bytes,
+    mix_columns,
+    shift_rows,
+    sub_bytes,
     xor_bytes,
 )
 from aesdfa.faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
@@ -112,3 +120,64 @@ def test_decrypt_direction_consistency():
         ct_clean = encrypt_block(pt, KS)
         faulty_pt = decrypt_with_faults(ct_clean, KS, [fault])
         assert encrypt_block(faulty_pt, KS) == encrypt_with_faults(pt, KS, [fault])
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+_FORWARD = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
+_INVERSE = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, AesOp.MIX_COLUMNS: inv_mix_columns}
+
+
+def composed_with_faults(block, ks, faults, inverse):
+    """The cipher run one public single operation at a time from `block`,
+    each fault's mask XORed, one by one, into the state entering its step."""
+    steps = cipher_steps(ks.n_rounds)
+    ops = _INVERSE if inverse else _FORWARD
+    state = block
+    for step in reversed(steps) if inverse else steps:
+        masks = [f.mask for f in faults if f.step == step]
+        if not inverse:
+            for mask in masks:
+                state = _xor(state, mask)
+        op = ops.get(step.op)
+        state = _xor(state, ks.round_keys[step.round]) if op is None else op(state)
+        if inverse:
+            for mask in masks:
+                state = _xor(state, mask)
+    return state
+
+
+@st.composite
+def faulted_runs(draw):
+    ks = expand_key(draw(st.binary(min_size=16, max_size=16)) + bytes(draw(st.sampled_from([0, 8, 16]))))
+    steps = cipher_steps(ks.n_rounds)
+    # a small step pool makes two masks on one step common; it always holds
+    # round 0 and the final AddRoundKey
+    pool = [steps[0], steps[-1], *draw(st.lists(st.sampled_from(steps), min_size=1, max_size=2))]
+    mask = st.binary(min_size=16, max_size=16).filter(any)
+    faults = draw(st.lists(st.builds(FaultSpec, st.sampled_from(pool), mask), min_size=1, max_size=3))
+    return ks, draw(st.binary(min_size=16, max_size=16)), faults
+
+
+@given(faulted_runs(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_faulted_cipher_matches_step_by_step_composition(run, inverse):
+    ks, block, faults = run
+    expected = composed_with_faults(block, ks, faults, inverse)
+    cipher = decrypt_with_faults if inverse else encrypt_with_faults
+    # twice: the first forward run may fill the clean-trace cache, the second reads it
+    assert cipher(block, ks, faults) == expected
+    assert cipher(block, ks, faults) == expected
+    if len({f.step for f in faults}) == len(faults):
+        taps = {f.step: f.mask for f in faults}
+        assert cipher_with_taps(block, ks, taps, inverse=inverse) == expected
+
+
+def test_wrong_length_blocks_keep_their_errors():
+    fault = [FaultSpec(StepId(12, AesOp.MIX_COLUMNS), byte_mask(0, 1))]
+    with pytest.raises(ValueError, match="^plaintext must be 16 bytes, got 15$"):
+        encrypt_with_faults(PT[:15], KS, fault)
+    with pytest.raises(ValueError, match="^ciphertext must be 16 bytes, got 17$"):
+        decrypt_with_faults(PT + b"x", KS, fault)

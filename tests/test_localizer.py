@@ -1,9 +1,12 @@
 import random
 
-from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
+import pytest
+
+from aesdfa import aes
+from aesdfa.aes import AesOp, StepId, decrypt_trace, encrypt_block, expand_key
 from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign
 from aesdfa.faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
-from aesdfa.localizer import localize
+from aesdfa.localizer import LocalizationReport, localize
 
 KS = expand_key(bytes(range(32)))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -102,3 +105,83 @@ def test_batch_on_pinned_campaign():
 def test_batch_all_clean():
     records = generate_campaign(_pinned_config(samples=10, fault_rate=0.0))
     assert all(localize(KS, rec.plaintext, rec.ciphertext) is None for rec in records)
+
+
+def reference_localize(ks, pt, faulty_ct):
+    """The localizer byte by byte: per-byte XOR and popcount over the public
+    traces, the clean side decrypted from the ciphertext, so no cached trace."""
+    clean_ct = encrypt_block(pt, ks)
+    if clean_ct == faulty_ct:
+        return None
+    _, forward = decrypt_trace(clean_ct, ks)
+    _, backward = decrypt_trace(faulty_ct, ks)
+    diffs = [bytes(x ^ y for x, y in zip(f.state, b.state)) for f, b in zip(forward, backward)]
+    weights = [sum(bin(byte).count("1") for byte in d) for d in diffs]
+    best = min(weights)
+    minima = [i for i, w in enumerate(weights) if w == best]
+    pick = minima[-1]
+    steps = [e.step for e in forward]
+    return LocalizationReport(
+        step=steps[min(pick + 1, len(steps) - 1)],
+        mask=diffs[pick],
+        hamming=best,
+        ambiguous=minima != list(range(minima[0], pick + 1)),
+    )
+
+
+def mixed_config(seed, key_len):
+    # offsets that mix steps, ops and bit counts, some of them many bytes wide
+    ops = [AesOp.SUB_BYTES, AesOp.SHIFT_ROWS, AesOp.MIX_COLUMNS, AesOp.ADD_ROUND_KEY]
+    rng = random.Random(seed)
+    n_rounds = aes.ROUNDS_BY_KEY_LEN[key_len]
+    offsets = {}
+    for n in range(6):
+        rnd = rng.randrange(1, n_rounds)
+        entries = ((StepId(rnd, rng.choice(ops)), MaskRule(bits=rng.choice([1, 2, 4, 8, 16, 40])), 1.0),)
+        offsets[270.0 + n / 4] = OffsetBehavior(entries)
+    offsets[275.0] = OffsetBehavior(((StepId(0, AesOp.ADD_ROUND_KEY_INITIAL), MaskRule(bits=3), 1.0),))
+    return CampaignConfig(
+        key=rng.randbytes(key_len), plaintext=rng.randbytes(16), samples=60,
+        offsets=offsets, fault_rate=0.8, seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed,key_len", [(1, 16), (2, 24), (3, 32), (4, 32)])
+def test_matches_reference_on_mixed_campaigns(seed, key_len):
+    cfg = mixed_config(seed, key_len)
+    ks = expand_key(cfg.key)
+    records = generate_campaign(cfg)
+    assert any(not rec.faulted for rec in records[1:])  # clean records are covered too
+    for rec in records:
+        assert localize(ks, rec.plaintext, rec.ciphertext) == reference_localize(ks, rec.plaintext, rec.ciphertext)
+
+
+def test_interleaved_keys_and_plaintexts_match_fresh_reports():
+    rng = random.Random(80)
+    pairs = [(expand_key(rng.randbytes(32)), rng.randbytes(16)) for _ in range(aes._TRACE_CACHE_SIZE + 8)]
+    step = StepId(12, AesOp.MIX_COLUMNS)
+    cases = [
+        (ks, pt, encrypt_with_faults(pt, ks, [FaultSpec(step, bit_mask(i % 16, i % 8))]))
+        for i, (ks, pt) in enumerate(pairs)
+    ]
+    # more distinct pairs than the cache holds, visited round-robin three times
+    for _ in range(3):
+        for ks, pt, faulty in rng.sample(cases, len(cases)):
+            assert localize(ks, pt, faulty) == reference_localize(ks, pt, faulty)
+
+
+def test_trace_cache_stays_bounded():
+    rng = random.Random(81)
+    for _ in range(100):
+        pt = rng.randbytes(16)
+        localize(KS, pt, rng.randbytes(16))
+    info = aes._clean_trace.cache_info()
+    assert info.maxsize == aes._TRACE_CACHE_SIZE
+    assert info.currsize == aes._TRACE_CACHE_SIZE
+
+
+def test_wrong_length_blocks_keep_their_errors():
+    with pytest.raises(ValueError, match="^plaintext must be 16 bytes, got 15$"):
+        localize(KS, PT[:15], encrypt_block(PT, KS))
+    with pytest.raises(ValueError, match="^ciphertext must be 16 bytes, got 17$"):
+        localize(KS, PT, encrypt_block(PT, KS) + b"x")
