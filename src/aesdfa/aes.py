@@ -2,7 +2,9 @@
 
 The cipher state is 16 bytes in FIPS column-major order: flat index i holds
 the byte at row i % 4, column i // 4. Blocks cross the public API as
-``bytes`` of length 16; hex strings are lowercase, 32 chars, no separators.
+``bytes`` of length 16. Hex belongs to the file formats and flags at the
+edges of the toolkit; `bytes_from_hex` is its one decoder, and it accepts
+only lowercase digit pairs of an expected length.
 The cipher core keeps the state as ``bytes`` too: SubBytes is a
 ``bytes.translate``, ShiftRows an index permutation, (Inv)MixColumns four
 256-entry column tables, and AddRoundKey and fault taps an integer XOR.
@@ -53,8 +55,6 @@ __all__ = [
     "inv_mix_columns",
     "xor_bytes",
     "bytes_from_hex",
-    "block_from_hex",
-    "block_to_hex",
     "flat_index",
 ]
 
@@ -258,24 +258,16 @@ def flat_index(row: int, col: int) -> int:
 _LOWER_HEX = re.compile(r"(?:[0-9a-f]{2})*")
 
 
-def bytes_from_hex(text: str) -> bytes:
-    """Decode lowercase hex without separators; unlike `bytes.fromhex`, reject spaces and uppercase."""
+def bytes_from_hex(text: str, name: str, sizes: tuple[int, ...]) -> bytes:
+    """Decode `name`, lowercase hex without separators, of one of `sizes` bytes.
+
+    Unlike `bytes.fromhex`, spaces and uppercase digits are rejected.
+    """
     if not isinstance(text, str) or not _LOWER_HEX.fullmatch(text):
-        raise ValueError(f"invalid hex {text!r}")
+        raise ValueError(f"{name} is not valid hex")
+    if len(text) // 2 not in sizes:
+        raise ValueError(f"{name} must be {' or '.join(map(str, sizes))} bytes, got {len(text) // 2}")
     return bytes.fromhex(text)
-
-
-def block_from_hex(text: str) -> bytes:
-    """Decode a 32-char hex block, rejecting anything malformed."""
-    if len(text) != 32:
-        raise ValueError(f"expected 32 hex chars, got {len(text)}")
-    return bytes_from_hex(text)
-
-
-def block_to_hex(block: bytes) -> str:
-    if len(block) != 16:
-        raise ValueError(f"expected 16 bytes, got {len(block)}")
-    return block.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +296,25 @@ class KeySchedule:
                 raise ValueError("round keys must be 16 bytes")
 
 
+def _word_step(prev: list[int], i: int, nk: int) -> list[int]:
+    """What the FIPS schedule XORs into word i - nk to make word i, from word
+    i - 1: RotWord, SubWord and Rcon every nk words, SubWord alone midway for
+    AES-256, and the word unchanged otherwise."""
+    if i % nk == 0:
+        word = [SBOX[b] for b in prev[1:] + prev[:1]]
+        word[0] ^= _RCON[i // nk - 1]
+        return word
+    if nk > 6 and i % nk == 4:
+        return [SBOX[b] for b in prev]
+    return prev
+
+
 def _expand_words(key: bytes) -> list[list[int]]:
     nk = len(key) // 4
     n_rounds = ROUNDS_BY_KEY_LEN[len(key)]
     words = [list(key[4 * i:4 * i + 4]) for i in range(nk)]
     for i in range(nk, 4 * (n_rounds + 1)):
-        tmp = list(words[i - 1])
-        if i % nk == 0:
-            tmp = tmp[1:] + tmp[:1]
-            tmp = [SBOX[b] for b in tmp]
-            tmp[0] ^= _RCON[i // nk - 1]
-        elif nk > 6 and i % nk == 4:
-            tmp = [SBOX[b] for b in tmp]
-        words.append([tmp[j] ^ words[i - nk][j] for j in range(4)])
+        words.append([a ^ b for a, b in zip(_word_step(words[i - 1], i, nk), words[i - nk])])
     return words
 
 
@@ -361,14 +359,7 @@ def invert_key_schedule(key_size: int, trailing_keys: Sequence[bytes]) -> bytes:
 
     for i in range(total - known + nk - 1, nk - 1, -1):
         # w[i - nk] = w[i] ^ f_i(w[i - 1]); the known window always spans >= nk words
-        tmp = list(words[i - 1])
-        if i % nk == 0:
-            tmp = tmp[1:] + tmp[:1]
-            tmp = [SBOX[b] for b in tmp]
-            tmp[0] ^= _RCON[i // nk - 1]
-        elif nk > 6 and i % nk == 4:
-            tmp = [SBOX[b] for b in tmp]
-        words[i - nk] = [words[i][j] ^ tmp[j] for j in range(4)]
+        words[i - nk] = [a ^ b for a, b in zip(words[i], _word_step(words[i - 1], i, nk))]
 
     key = bytes(b for w in words[:nk] for b in w)
     tail = expand_key(key).round_keys[-len(trailing_keys):]
@@ -472,14 +463,16 @@ def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool
 
     Encryption resumes from the cached clean trace at the earliest tapped
     step, so a fault late in the cipher costs only the rounds after it.
+    Raises ValueError for a tap at a step this cipher lacks.
     """
+    for step in taps:
+        step.validate(ks.n_rounds)
     _check_block(block, "ciphertext" if inverse else "plaintext")
     block = bytes(block)
     if inverse:
         return _inv_cipher(block, ks, taps)
     index = _STEP_INDEX[ks.n_rounds]
-    # a step this cipher lacks never fires, and makes the run start from `block`
-    start = min(index.get(step, 0) for step in taps) if taps else 0
+    start = min(index[step] for step in taps) if taps else 0
     if start:
         block = _clean_trace(block, ks)[1][start - 1].state
     return _cipher(block, ks, start, taps)

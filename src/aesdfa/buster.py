@@ -116,13 +116,14 @@ def _encrypt_block_under_keys(keys: np.ndarray, block: bytes) -> np.ndarray:
     return np.stack(state, axis=1).astype(">u4").view(np.uint8)
 
 
-def _stage_layout(stage: int, chunk: int, borrow: str) -> tuple[int, slice, slice]:
-    """(zero count, chunk window, known window) of one stage's plaintext block."""
+def _stage_layout(stage: int, chunk: int, borrow: str) -> tuple[slice, slice]:
+    """(chunk window, known window) of one stage's plaintext block; the slave
+    stage is stage 16 // chunk - 1, its block the first half of the slave key."""
     if borrow == "tail":
         lo = 16 - (stage + 1) * chunk
-        return lo, slice(lo, lo + chunk), slice(lo + chunk, 16)
+        return slice(lo, lo + chunk), slice(lo + chunk, 16)
     lo = stage * chunk
-    return 16 - lo - chunk, slice(lo, lo + chunk), slice(0, lo)
+    return slice(lo, lo + chunk), slice(0, lo)
 
 
 def _scan(
@@ -211,45 +212,37 @@ def bust(
     started = time.perf_counter()
     aes_ops = 0
 
+    n_data = len(art.stage_cts)
     known = b""
-    for stage, target in enumerate(art.stage_cts):
-        zeros, chunk_window, known_window = _stage_layout(stage, chunk, borrow)
-        if progress:
-            progress(f"stage {stage + 1}/{len(art.stage_cts)}: scanning {space} chunks")
+    for stage, target in enumerate((*art.stage_cts, art.slave_ct)):
+        chunk_window, known_window = _stage_layout(stage, chunk, borrow)
         block = bytearray(16)
         block[known_window] = known
+        if stage < n_data:
+            name, template, fixed_key = f"stage {stage + 1} of {n_data}", bytes(block), art.fixed_key
+            if progress:
+                progress(f"stage {stage + 1}/{n_data}: scanning {space} chunks")
+        else:
+            name, template, fixed_key = "slave", slave_key_from_block(bytes(block)), None
+            if progress:
+                progress(f"slave stage: scanning {space} keys")
         matches, tried = _run_partitioned(
-            (bytes(block), chunk_window, art.fixed_key, target, exhaustive), space, workers
+            (template, chunk_window, fixed_key, target, exhaustive), space, workers
         )
         aes_ops += tried
-        if not matches:
-            raise ArtifactMismatch(f"stage {stage + 1} of {len(art.stage_cts)}")
-        if exhaustive and len(matches) > 1:
-            raise ArtifactMismatch(f"stage {stage + 1} of {len(art.stage_cts)} (ambiguous)")
+        if not matches or (exhaustive and len(matches) > 1):
+            raise ArtifactMismatch(name if not matches else f"{name} (ambiguous)")
         found = min(matches).to_bytes(chunk, "big")
         known = found + known if borrow == "tail" else known + found
 
-    if progress:
-        progress(f"slave stage: scanning {space} keys")
-    slot_key = slave_key_from_block(bytes(chunk) + known if borrow == "tail" else known + bytes(chunk))
-    chunk_at = slice(0, chunk) if borrow == "tail" else slice(16 - chunk, 16)
-    matches, tried = _run_partitioned((slot_key, chunk_at, None, art.slave_ct, exhaustive), space, workers)
-    aes_ops += tried
-    if not matches:
-        raise ArtifactMismatch("slave")
-    if exhaustive and len(matches) > 1:
-        raise ArtifactMismatch("slave (ambiguous)")
-    head = min(matches).to_bytes(chunk, "big")
-    hidden = head + known if borrow == "tail" else known + head
-
-    _verify(art, hidden, borrow)
-    return BustResult(hidden=hidden, aes_ops=aes_ops, elapsed=time.perf_counter() - started)
+    _verify(art, known, borrow)
+    return BustResult(hidden=known, aes_ops=aes_ops, elapsed=time.perf_counter() - started)
 
 
 def _verify(art: BorrowArtifacts, hidden: bytes, borrow: str) -> None:
     chunk = art.chunk_bits // 8
     for stage, target in enumerate(art.stage_cts):
-        zeros, chunk_window, known_window = _stage_layout(stage, chunk, borrow)
+        chunk_window, _ = _stage_layout(stage, chunk, borrow)
         block = bytearray(16)
         window = slice(chunk_window.start, 16) if borrow == "tail" else slice(0, chunk_window.stop)
         block[window] = hidden[window]

@@ -7,9 +7,10 @@ many bits it flips. An optional static mask is applied identically in every
 glitched run, on top of whatever per-sample dynamic fault fires; samples
 whose dynamic fault does not fire then carry the static corruption alone.
 
-Records serialize as JSON lines with fields exactly:
-plaintext, ciphertext, n, m, slot, faulted. The baseline (unglitched)
-record carries null n and m.
+Records hold their blocks as bytes. Hex appears only in the file format:
+records serialize as JSON lines with fields exactly plaintext, ciphertext
+(lowercase hex), n, m, slot, faulted, and `read_records` decodes each
+block once. The baseline (unglitched) record carries null n and m.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .aes import ROUNDS_BY_KEY_LEN, StepId, block_from_hex, bytes_from_hex, encrypt_trace, expand_key
+from .aes import ROUNDS_BY_KEY_LEN, AesOp, StepId, bytes_from_hex, encrypt_trace, expand_key
 from .faults import FaultSpec, encrypt_with_faults
 
 __all__ = [
@@ -139,32 +140,28 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CiphertextRecord:
-    """One campaign sample: the block pair plus the glitch parameters."""
+    """One campaign sample: the 16-byte block pair plus the glitch parameters.
 
-    plaintext_hex: str
-    ciphertext_hex: str
+    The blocks are bytes; `to_json` writes them as hex.
+    """
+
+    plaintext: bytes
+    ciphertext: bytes
     offset_n: float | None
     width_m: float | None
     slot: int
     faulted: bool
 
     def __post_init__(self):
-        block_from_hex(self.plaintext_hex)
-        block_from_hex(self.ciphertext_hex)
-
-    @property
-    def plaintext(self) -> bytes:
-        return bytes.fromhex(self.plaintext_hex)
-
-    @property
-    def ciphertext(self) -> bytes:
-        return bytes.fromhex(self.ciphertext_hex)
+        for name, block in (("plaintext", self.plaintext), ("ciphertext", self.ciphertext)):
+            if len(block) != 16:
+                raise ValueError(f"{name} must be 16 bytes, got {len(block)}")
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "plaintext": self.plaintext_hex,
-                "ciphertext": self.ciphertext_hex,
+                "plaintext": self.plaintext.hex(),
+                "ciphertext": self.ciphertext.hex(),
                 "n": self.offset_n,
                 "m": self.width_m,
                 "slot": self.slot,
@@ -197,11 +194,8 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     rng = random.Random(cfg.seed)
     ks = expand_key(cfg.key)
     clean_ct, _ = encrypt_trace(cfg.plaintext, ks)
-    pt_hex = cfg.plaintext.hex()
 
-    records = [
-        CiphertextRecord(pt_hex, clean_ct.hex(), None, None, cfg.slot, False)
-    ]
+    records = [CiphertextRecord(cfg.plaintext, clean_ct, None, None, cfg.slot, False)]
     offsets = sorted(cfg.offsets)
     for _ in range(cfg.samples):
         offset = offsets[0] if len(offsets) == 1 else rng.choice(offsets)
@@ -214,7 +208,7 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
             faults.append(FaultSpec(step, rule.draw(rng)))
         ct = encrypt_with_faults(cfg.plaintext, ks, faults) if faults else clean_ct
         records.append(
-            CiphertextRecord(pt_hex, ct.hex(), offset, cfg.width, cfg.slot, bool(faults))
+            CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, bool(faults))
         )
     return records
 
@@ -257,18 +251,20 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
         if not isinstance(raw["faulted"], bool):
             raise RecordFormatError(line_no, "faulted must be true or false")
         try:
-            records.append(
-                CiphertextRecord(
-                    plaintext_hex=raw["plaintext"],
-                    ciphertext_hex=raw["ciphertext"],
-                    offset_n=None if raw["n"] is None else float(raw["n"]),
-                    width_m=None if raw["m"] is None else float(raw["m"]),
-                    slot=raw["slot"],
-                    faulted=raw["faulted"],
-                )
-            )
-        except (ValueError, TypeError) as err:
+            plaintext = bytes_from_hex(raw["plaintext"], "plaintext", (16,))
+            ciphertext = bytes_from_hex(raw["ciphertext"], "ciphertext", (16,))
+        except ValueError as err:
             raise RecordFormatError(line_no, str(err)) from None
+        records.append(
+            CiphertextRecord(
+                plaintext=plaintext,
+                ciphertext=ciphertext,
+                offset_n=None if raw["n"] is None else float(raw["n"]),
+                width_m=None if raw["m"] is None else float(raw["m"]),
+                slot=raw["slot"],
+                faulted=raw["faulted"],
+            )
+        )
     return records
 
 
@@ -285,20 +281,7 @@ class ConfigError(Exception):
         super().__init__(f"line {line_no}: {reason}")
 
 
-def _parse_hex(value: str, line_no: int, name: str, sizes: tuple[int, ...]) -> bytes:
-    try:
-        raw = bytes_from_hex(value)
-    except ValueError:
-        raise ConfigError(line_no, f"{name} is not valid hex") from None
-    if len(raw) not in sizes:
-        allowed = " or ".join(str(s) for s in sizes)
-        raise ConfigError(line_no, f"{name} must be {allowed} bytes, got {len(raw)}")
-    return raw
-
-
 def _parse_offset_entry(value: str, line_no: int) -> tuple[StepId, MaskRule, float]:
-    from .aes import AesOp
-
     fields = {}
     for token in value.split():
         if "=" not in token:
@@ -330,9 +313,7 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
     ``offset <n> = round=12 op=MixColumns bits=1 [byte=0] [weight=1]``
     accumulate the per-offset fault distribution.
     """
-    from .aes import AesOp
-
-    scalars: dict[str, str] = {}
+    scalars: dict[str, tuple[str, int]] = {}  # name -> (value, line number)
     entries: dict[float, list] = {}
     for line_no, line in enumerate(fp, start=1):
         text = line.strip()
@@ -352,25 +333,35 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
         elif key in scalars:
             raise ConfigError(line_no, f"duplicate key {key!r}")
         else:
-            scalars[key] = value
-            scalars[f"__line_{key}"] = str(line_no)
+            scalars[key] = (value, line_no)
 
-    def line_of(name: str) -> int:
-        return int(scalars.get(f"__line_{name}", 0))
+    def parsed(name: str, parse, reason: str | None = None):
+        # a ValueError from parse becomes a ConfigError at the scalar's line
+        value, line_no = scalars[name]
+        try:
+            return parse(value)
+        except ValueError as err:
+            raise ConfigError(line_no, reason or str(err)) from None
+
+    def hex_scalar(name: str, sizes: tuple[int, ...]) -> bytes:
+        return parsed(name, lambda value: bytes_from_hex(value, name, sizes))
+
+    def scalar(name: str, cast, default):
+        return parsed(name, cast, f"bad value for {name!r}") if name in scalars else default
 
     known = {"key", "plaintext", "samples", "seed", "slot", "width",
              "fault_rate", "static_mask", "static_round", "static_op"}
-    for name in scalars:
-        if not name.startswith("__line_") and name not in known:
-            raise ConfigError(line_of(name), f"unknown key {name!r}")
+    for name, (_, line_no) in scalars.items():
+        if name not in known:
+            raise ConfigError(line_no, f"unknown key {name!r}")
     for required in ("key", "plaintext", "samples"):
         if required not in scalars:
             raise ConfigError(0, f"missing required key {required!r}")
     if not entries:
         raise ConfigError(0, "config defines no glitch offsets")
 
-    key = _parse_hex(scalars["key"], line_of("key"), "key", (16, 24, 32))
-    plaintext = _parse_hex(scalars["plaintext"], line_of("plaintext"), "plaintext", (16,))
+    key = hex_scalar("key", (16, 24, 32))
+    plaintext = hex_scalar("plaintext", (16,))
     n_rounds = ROUNDS_BY_KEY_LEN[len(key)]
     for rows in entries.values():
         for step, _, _, entry_line in rows:
@@ -378,26 +369,14 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
                 step.validate(n_rounds)
             except ValueError as err:
                 raise ConfigError(entry_line, str(err)) from None
-    static_mask = None
-    if "static_mask" in scalars:
-        static_mask = _parse_hex(scalars["static_mask"], line_of("static_mask"), "static_mask", (16,))
+    static_mask = hex_scalar("static_mask", (16,)) if "static_mask" in scalars else None
     static_step = None
     if ("static_round" in scalars) != ("static_op" in scalars):
-        raise ConfigError(line_of("static_round") or line_of("static_op"),
+        raise ConfigError((scalars.get("static_round") or scalars["static_op"])[1],
                           "static_round and static_op must be given together")
     if "static_round" in scalars:
-        try:
-            static_step = StepId(int(scalars["static_round"]), AesOp.from_label(scalars["static_op"]))
-        except ValueError as err:
-            raise ConfigError(line_of("static_round"), str(err)) from None
-
-    def scalar(name: str, cast, default):
-        if name not in scalars:
-            return default
-        try:
-            return cast(scalars[name])
-        except ValueError:
-            raise ConfigError(line_of(name), f"bad value for {name!r}") from None
+        op = scalars["static_op"][0]
+        static_step = parsed("static_round", lambda value: StepId(int(value), AesOp.from_label(op)))
 
     try:
         return CampaignConfig(

@@ -37,12 +37,9 @@ def _fail(code: int, message: str):
 
 def _parse_hex(text: str, name: str = "key", sizes=tuple(ROUNDS_BY_KEY_LEN)) -> bytes:
     try:
-        raw = bytes_from_hex(text)
-    except ValueError:
-        _fail(2, f"{name} is not valid hex")
-    if len(raw) not in sizes:
-        _fail(2, f"{name} must be {' or '.join(map(str, sizes))} bytes, got {len(raw)}")
-    return raw
+        return bytes_from_hex(text, name, sizes)
+    except ValueError as err:
+        _fail(2, str(err))
 
 
 def _load_records(fp):
@@ -61,10 +58,14 @@ def _unique_keys(pairs):
     return obj
 
 
-def _check_key_matches(ks, records):
+def _keyed_records(key_hex, fp):
+    """The --key schedule and the records, which the key must reproduce."""
+    ks = expand_key(_parse_hex(key_hex))
+    records = _load_records(fp)
     for record in records:
         if not record.faulted and encrypt_trace(record.plaintext, ks)[0] != record.ciphertext:
             _fail(2, "the supplied key does not reproduce the campaign's clean ciphertexts")
+    return ks, records
 
 
 @click.group()
@@ -91,10 +92,7 @@ def simulate(config, output):
 @click.option("--key", "key_hex", required=True, help="Campaign key, hex.")
 def localize(records, key_hex):
     """Report where each record's fault entered the cipher."""
-    key = _parse_hex(key_hex)
-    recs = _load_records(records)
-    ks = expand_key(key)
-    _check_key_matches(ks, recs)
+    ks, recs = _keyed_records(key_hex, records)
 
     def fmt(value):
         return "-" if value is None else value
@@ -103,18 +101,10 @@ def localize(records, key_hex):
     for rec in recs:
         report = localize_record(ks, rec.plaintext, rec.ciphertext)
         if report is None:
-            rows.append([rec.ciphertext_hex, fmt(rec.width_m), fmt(rec.offset_n), "0" * 32, "-", "-"])
+            fault = ["0" * 32, "-", "-"]
         else:
-            rows.append(
-                [
-                    rec.ciphertext_hex,
-                    fmt(rec.width_m),
-                    fmt(rec.offset_n),
-                    report.mask_hex,
-                    report.step.round,
-                    report.step.op.label,
-                ]
-            )
+            fault = [report.mask.hex(), report.step.round, report.step.op.label]
+        rows.append([rec.ciphertext.hex(), fmt(rec.width_m), fmt(rec.offset_n), *fault])
     click.echo(render_table(["output", "m", "n", "mask", "round", "operation"], rows), nl=False)
 
 
@@ -124,10 +114,7 @@ def localize(records, key_hex):
 @click.option("--profile-json", type=click.File("w"), help="Also dump the per-offset profile.")
 def histogram(records, key_hex, profile_json):
     """Distributions of faulted operations and corrupted bit counts."""
-    key = _parse_hex(key_hex)
-    recs = _load_records(records)
-    ks = expand_key(key)
-    _check_key_matches(ks, recs)
+    ks, recs = _keyed_records(key_hex, records)
     profile = build_profile(ks, recs)
 
     ops = profile.op_histogram()
@@ -167,10 +154,7 @@ def histogram(records, key_hex, profile_json):
 )
 def recommend(records, key_hex, target_rounds):
     """Choose the glitch offset with the best usable-fault rate per round."""
-    key = _parse_hex(key_hex)
-    recs = _load_records(records)
-    ks = expand_key(key)
-    _check_key_matches(ks, recs)
+    ks, recs = _keyed_records(key_hex, records)
     if target_rounds:
         try:
             rounds = [int(r) for r in target_rounds.split(",")]
@@ -187,10 +171,10 @@ def recommend(records, key_hex, target_rounds):
         click.echo(f"round {rnd}: offset {chosen[rnd]}")
 
 
-def _clean_reference(recs, plaintext_hex, clean_ct_hex):
-    if plaintext_hex and clean_ct_hex:
-        return _parse_hex(plaintext_hex, "--plaintext", (16,)), _parse_hex(clean_ct_hex, "--clean-ct", (16,))
-    plaintexts = {rec.plaintext_hex for rec in recs}
+def _clean_reference(recs, plaintext_arg, clean_ct_arg):
+    if plaintext_arg and clean_ct_arg:
+        return _parse_hex(plaintext_arg, "--plaintext", (16,)), _parse_hex(clean_ct_arg, "--clean-ct", (16,))
+    plaintexts = {rec.plaintext for rec in recs}
     if len(plaintexts) != 1:
         _fail(2, "records mix plaintexts; the attack needs a fixed-plaintext campaign")
     clean = [rec for rec in recs if not rec.faulted]
@@ -212,16 +196,16 @@ def _clean_reference(recs, plaintext_hex, clean_ct_hex):
 )
 @click.option("--mode", type=click.Choice(["pairwise", "second_order", "auto"]), default="auto")
 @click.option("--key-size", type=click.Choice(["128", "192", "256"]), default="256")
-@click.option("--plaintext", "plaintext_hex", default=None, help="Override the campaign plaintext.")
-@click.option("--clean-ct", "clean_ct_hex", default=None, help="Override the clean ciphertext.")
+@click.option("--plaintext", "plaintext_arg", default=None, help="Override the campaign plaintext.")
+@click.option("--clean-ct", "clean_ct_arg", default=None, help="Override the clean ciphertext.")
 @click.option("--max-groupings", type=int, default=DEFAULT_GROUPING_BUDGET, show_default=True)
 @click.option("-o", "--output", type=click.File("w"), default="-", help="Report destination.")
-def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plaintext_hex,
-           clean_ct_hex, max_groupings, output):
+def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plaintext_arg,
+           clean_ct_arg, max_groupings, output):
     """Recover the key from a campaign file; exit 0 only on verified success."""
     recs = _load_records(records)
     key_size = int(key_size)
-    pt, clean_ct = _clean_reference(recs, plaintext_hex, clean_ct_hex)
+    pt, clean_ct = _clean_reference(recs, plaintext_arg, clean_ct_arg)
     faulted = [rec for rec in recs if rec.faulted]
 
     if split_key_hex is not None:

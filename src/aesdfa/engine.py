@@ -203,13 +203,13 @@ def artifacts_from_dict(raw: dict) -> BorrowArtifacts:
     """Inverse of artifacts_to_dict. `chunk_bits` (default 32) must be an
     integer, and the blocks exactly c1..cN: no gap, no leading zero."""
     try:
-        fixed_key = bytes_from_hex(raw["fixed_key"])
+        fixed_key = bytes_from_hex(raw["fixed_key"], "fixed_key", (16,))
         chunk_bits = raw.get("chunk_bits", 32)
         names = [k for k in raw if k.startswith("c") and k[1:].isdigit()]
         expected = [f"c{i}" for i in range(1, len(names) + 1)]
         if set(names) != set(expected):
             raise ValueError(f"blocks must be named c1..c{len(names)}, got {', '.join(names)}")
-        blocks = [bytes_from_hex(raw[name]) for name in expected]
+        blocks = [bytes_from_hex(raw[name], name, (16,)) for name in expected]
     except (KeyError, ValueError, TypeError, AttributeError) as err:
         raise ValueError(f"bad artifact object: {err}") from None
     # a JSON boolean parses as a Python int, so bool is ruled out first

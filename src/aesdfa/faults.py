@@ -36,12 +36,11 @@ class FaultSpec:
             raise ValueError("fault mask must be nonzero")
 
 
-def _merged_taps(faults: Iterable[FaultSpec], n_rounds: int) -> dict[StepId, bytes]:
+def _merged_taps(faults: Iterable[FaultSpec]) -> dict[StepId, bytes]:
     taps: dict[StepId, bytes] = {}
     for fault in faults:
-        step = fault.step.validate(n_rounds)
-        prev = taps.get(step)
-        taps[step] = fault.mask if prev is None else xor_bytes(prev, fault.mask)
+        prev = taps.get(fault.step)
+        taps[fault.step] = fault.mask if prev is None else xor_bytes(prev, fault.mask)
     return taps
 
 
@@ -51,7 +50,7 @@ def encrypt_with_faults(pt: bytes, ks: KeySchedule, faults: Iterable[FaultSpec])
     An empty fault list reproduces the plain encryption. Masks landing on
     the same step combine by XOR.
     """
-    return cipher_with_taps(pt, ks, _merged_taps(faults, ks.n_rounds))
+    return cipher_with_taps(pt, ks, _merged_taps(faults))
 
 
 def decrypt_with_faults(ct: bytes, ks: KeySchedule, faults: Iterable[FaultSpec]) -> bytes:
@@ -60,4 +59,4 @@ def decrypt_with_faults(ct: bytes, ks: KeySchedule, faults: Iterable[FaultSpec])
     The returned block re-encrypts to exactly encrypt_with_faults applied
     to the clean decryption of `ct`.
     """
-    return cipher_with_taps(ct, ks, _merged_taps(faults, ks.n_rounds), inverse=True)
+    return cipher_with_taps(ct, ks, _merged_taps(faults), inverse=True)

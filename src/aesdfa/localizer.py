@@ -38,10 +38,6 @@ class LocalizationReport:
     hamming: int
     ambiguous: bool
 
-    @property
-    def mask_hex(self) -> str:
-        return self.mask.hex()
-
 
 def localize(ks: KeySchedule, pt: bytes, faulty_ct: bytes) -> LocalizationReport | None:
     """Identify the (round, operation) a faulty output was corrupted at.

@@ -9,8 +9,7 @@ from aesdfa.aes import (
     SBOX,
     AesOp,
     StepId,
-    block_from_hex,
-    block_to_hex,
+    bytes_from_hex,
     cipher_steps,
     decrypt_block,
     decrypt_trace,
@@ -256,11 +255,15 @@ class TestOpsAndLayout:
 
     def test_hex_helpers(self):
         h = "00112233445566778899aabbccddeeff"
-        assert block_to_hex(block_from_hex(h)) == h
-        with pytest.raises(ValueError, match="32 hex"):
-            block_from_hex("00")
-        with pytest.raises(ValueError, match="invalid hex"):
-            block_from_hex("zz" * 16)
+        assert bytes_from_hex(h, "block", (16,)).hex() == h
+        assert bytes_from_hex(h * 2, "key", (16, 24, 32)) == bytes.fromhex(h * 2)
+        with pytest.raises(ValueError, match="^block must be 16 bytes, got 1$"):
+            bytes_from_hex("00", "block", (16,))
+        with pytest.raises(ValueError, match="^key must be 16 or 24 or 32 bytes, got 17$"):
+            bytes_from_hex("00" * 17, "key", (16, 24, 32))
+        for bad in ("zz" * 16, h.upper(), h[:-2] + " f", h[:-1], None):
+            with pytest.raises(ValueError, match="^block is not valid hex$"):
+                bytes_from_hex(bad, "block", (16,))
 
     def test_step_id_validation(self):
         StepId(0, AesOp.ADD_ROUND_KEY_INITIAL).validate(14)

@@ -31,7 +31,7 @@ def synthetic_artifacts(hidden: bytes, chunk_bits=16, borrow="tail") -> BorrowAr
     chunk = chunk_bits // 8
     stage_cts = []
     for stage in range(16 // chunk - 1):
-        _, chunk_window, _ = _stage_layout(stage, chunk, borrow)
+        chunk_window, _ = _stage_layout(stage, chunk, borrow)
         block = bytearray(16)
         window = slice(chunk_window.start, 16) if borrow == "tail" else slice(0, chunk_window.stop)
         block[window] = hidden[window]
@@ -86,6 +86,34 @@ def test_tampered_stage_two_is_named():
     tampered = BorrowArtifacts(tuple(bad), art.slave_ct, art.fixed_key, art.chunk_bits)
     with pytest.raises(ArtifactMismatch, match="stage 2 of 7"):
         bust(tampered)
+
+
+@pytest.mark.parametrize("borrow", ["tail", "head"])
+def test_progress_names_each_stage(borrow):
+    hidden = bytes(random.Random(16).randrange(256) for _ in range(16))
+    messages = []
+    bust(synthetic_artifacts(hidden, borrow=borrow), borrow=borrow, progress=messages.append)
+    assert messages == [f"stage {i}/7: scanning 65536 chunks" for i in range(1, 8)] + [
+        "slave stage: scanning 65536 keys"
+    ]
+
+
+@pytest.mark.parametrize("stage, name", [(0, "stage 1 of 7"), (6, "stage 7 of 7"), (7, "slave")])
+def test_second_match_is_ambiguous(monkeypatch, stage, name):
+    # a full-range scan that matches twice names its stage, data or slave
+    scan = buster._run_partitioned
+    calls = []
+
+    def doubled(args, space, workers):
+        matches, tried = scan(args, space, workers)
+        calls.append(args)
+        return (matches + [space - 1] if len(calls) == stage + 1 else matches), tried
+
+    monkeypatch.setattr(buster, "_run_partitioned", doubled)
+    hidden = bytes(random.Random(17).randrange(256) for _ in range(16))
+    with pytest.raises(ArtifactMismatch, match=rf"^no candidate chunk matches the {name} \(ambiguous\) artifact$"):
+        bust(synthetic_artifacts(hidden))
+    assert len(calls) == stage + 1
 
 
 def test_tampered_slave_is_named():

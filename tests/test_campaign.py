@@ -69,15 +69,15 @@ class TestGenerateCampaign:
         glitched = records[1:]
         assert all(r.faulted for r in glitched)
         # static only, identical every run
-        assert len({r.ciphertext_hex for r in glitched}) == 1
+        assert len({r.ciphertext for r in glitched}) == 1
 
     def test_static_mask_keeps_draws_aligned(self):
         z = bytes([0, 0x80] + [0] * 14)
         plain = generate_campaign(base_config())
         masked = generate_campaign(base_config(static_mask=z))
-        assert plain[0].ciphertext_hex == masked[0].ciphertext_hex
+        assert plain[0].ciphertext == masked[0].ciphertext
         assert all(p.offset_n == m.offset_n for p, m in zip(plain, masked))
-        assert all(p.ciphertext_hex != m.ciphertext_hex for p, m in zip(plain[1:], masked[1:]))
+        assert all(p.ciphertext != m.ciphertext for p, m in zip(plain[1:], masked[1:]))
 
     def test_empty_offsets_rejected(self):
         with pytest.raises(ValueError, match="at least one glitch offset"):
@@ -138,16 +138,24 @@ class TestRecordsIo:
             read_records(io.StringIO('{"plaintext": "00", "n": 1, "m": 1, "slot": 0, "faulted": false}\n'))
 
     def test_bad_hex_reports_line(self):
-        with pytest.raises(RecordFormatError, match="line 1"):
+        with pytest.raises(RecordFormatError, match="^line 1: plaintext is not valid hex$"):
             read_records(
                 io.StringIO(
                     '{"plaintext": "zz", "ciphertext": "00", "n": 1, "m": 1, "slot": 0, "faulted": false}\n'
                 )
             )
 
+    def test_short_block_reports_line(self):
+        line = generate_campaign(base_config(samples=1))[1].to_json()
+        short = line.replace('"ciphertext": "', '"ciphertext": "00', 1)
+        with pytest.raises(RecordFormatError, match="^line 2: ciphertext must be 16 bytes, got 17$"):
+            read_records(io.StringIO(line + "\n" + short + "\n"))
+
     def test_record_validates_hex(self):
-        with pytest.raises(ValueError):
-            CiphertextRecord("00", "11" * 16, None, None, 0, False)
+        with pytest.raises(ValueError, match="^plaintext must be 16 bytes, got 1$"):
+            CiphertextRecord(b"\0", bytes(16), None, None, 0, False)
+        with pytest.raises(ValueError, match="^ciphertext must be 16 bytes, got 17$"):
+            CiphertextRecord(bytes(16), bytes(17), None, None, 0, False)
 
     @pytest.mark.parametrize(
         "field, value",

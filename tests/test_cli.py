@@ -57,6 +57,14 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "line 7" in result.output
 
+    def test_line_prefixed_key_is_unknown(self, runner, tmp_path):
+        # a key named like internal bookkeeping is still an unknown key
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + "__line_bogus = 1\n")
+        result = runner.invoke(main, ["simulate", str(cfg)])
+        assert result.exit_code == 2
+        assert "error: line 7: unknown key '__line_bogus'" in result.output
+
     def test_zero_fault_rate_all_clean(self, runner, tmp_path):
         cfg = CONFIG + "fault_rate = 0\n"
         out = simulate_to(runner, tmp_path, cfg)
@@ -287,7 +295,7 @@ class TestStrictHex:
             main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"]
         )
         assert result.exit_code == 2
-        assert "line 3" in result.output
+        assert "line 3: ciphertext is not valid hex" in result.output
 
     def test_key_flag(self, runner, tmp_path, bad):
         out = simulate_to(runner, tmp_path)
@@ -314,7 +322,7 @@ class TestStrictHex:
         cfg.write_text(CONFIG.replace(f"plaintext = {PT.hex()}", f"plaintext = {bad(PT.hex())}"))
         result = runner.invoke(main, ["simulate", str(cfg)])
         assert result.exit_code == 2
-        assert "line 2" in result.output
+        assert "line 2: plaintext is not valid hex" in result.output
 
     def test_artifacts(self, runner, tmp_path, bad):
         path = artifact_file(tmp_path, [bytes(range(16))])
@@ -323,7 +331,7 @@ class TestStrictHex:
         path.write_text(json.dumps(raw))
         result = runner.invoke(main, ["bust", str(path)])
         assert result.exit_code == 2
-        assert "invalid hex" in result.output
+        assert "set 0: bad artifact object: c1 is not valid hex" in result.output
         assert result.stdout == ""
 
 

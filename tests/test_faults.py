@@ -46,10 +46,29 @@ def test_fault_spec_rejects_bad_masks():
 
 
 def test_step_out_of_range_rejected():
-    fault = FaultSpec(StepId(13, AesOp.MIX_COLUMNS), byte_mask(0, 1))
     ks128 = expand_key(bytes(16))
-    with pytest.raises(ValueError, match="out of range"):
-        encrypt_with_faults(PT, ks128, [fault])
+    for step, text in [
+        (StepId(13, AesOp.MIX_COLUMNS), "round 13 out of range 0..10"),
+        (StepId(10, AesOp.MIX_COLUMNS), "the last round has no MixColumns"),
+        (StepId(0, AesOp.SUB_BYTES), "round 0 admits only AddRoundKeyInitial, later rounds never do"),
+    ]:
+        for run in (encrypt_with_faults, decrypt_with_faults):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                run(PT, ks128, [FaultSpec(step, byte_mask(0, 1))])
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_taps_at_steps_the_cipher_lacks_raise(inverse):
+    # AES-128 has no round 13, and its last round no MixColumns
+    ks128 = expand_key(bytes(16))
+    mask = byte_mask(0, 1)
+    for foreign, text in [
+        (StepId(13, AesOp.MIX_COLUMNS), "round 13 out of range 0..10"),
+        (StepId(10, AesOp.MIX_COLUMNS), "the last round has no MixColumns"),
+    ]:
+        for taps in ({foreign: mask}, {StepId(9, AesOp.MIX_COLUMNS): mask, foreign: mask}):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                cipher_with_taps(PT, ks128, taps, inverse=inverse)
 
 
 def test_round_13_fault_hits_one_diagonal_group():

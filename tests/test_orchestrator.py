@@ -313,8 +313,8 @@ class TestCampaignPipeline:
         plain_records = self._campaign_records(None)
         masked_records = self._campaign_records(bytes(z))
         # sample-aligned campaigns whose glitched outputs all differ
-        plain_cts = [r.ciphertext_hex for r in plain_records[1:]]
-        masked_cts = [r.ciphertext_hex for r in masked_records[1:]]
+        plain_cts = [r.ciphertext for r in plain_records[1:]]
+        masked_cts = [r.ciphertext for r in masked_records[1:]]
         assert all(a != b for a, b in zip(plain_cts, masked_cts))
         first = self._attack(plain_records)
         second = self._attack(masked_records)
