@@ -55,7 +55,6 @@ __all__ = [
     "inv_mix_columns",
     "xor_bytes",
     "bytes_from_hex",
-    "flat_index",
 ]
 
 # Cipher rounds per key length in bytes.
@@ -248,11 +247,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-def flat_index(row: int, col: int) -> int:
-    """FIPS layout: byte at (row, col) lives at flat index 4*col + row."""
-    return 4 * col + row
 
 
 _LOWER_HEX = re.compile(r"(?:[0-9a-f]{2})*")

@@ -14,7 +14,7 @@ import time
 
 import click
 
-from .aes import AesOp, ROUNDS_BY_KEY_LEN, bytes_from_hex, encrypt_trace, expand_key
+from .aes import AesOp, ROUNDS_BY_KEY_LEN, StepId, bytes_from_hex, encrypt_trace, expand_key
 from .analyze import NoViableOffset, build_profile, recommend_offsets, render_table
 from .campaign import (
     ConfigError,
@@ -35,7 +35,7 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _parse_hex(text: str, name: str = "key", sizes=tuple(ROUNDS_BY_KEY_LEN)) -> bytes:
+def _parse_hex(text: str, name: str, sizes=tuple(ROUNDS_BY_KEY_LEN)) -> bytes:
     try:
         return bytes_from_hex(text, name, sizes)
     except ValueError as err:
@@ -60,7 +60,7 @@ def _unique_keys(pairs):
 
 def _keyed_records(key_hex, fp):
     """The --key schedule and the records, which the key must reproduce."""
-    ks = expand_key(_parse_hex(key_hex))
+    ks = expand_key(_parse_hex(key_hex, "--key"))
     records = _load_records(fp)
     for record in records:
         if not record.faulted and encrypt_trace(record.plaintext, ks)[0] != record.ciphertext:
@@ -75,7 +75,7 @@ def main():
 
 @main.command()
 @click.argument("config", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w"), default="-", help="JSONL destination.")
+@click.option("-o", "--output", type=click.File("w", lazy=False), default="-", help="JSONL destination.")
 def simulate(config, output):
     """Generate a campaign from a flat key=value CONFIG file."""
     try:
@@ -111,7 +111,7 @@ def localize(records, key_hex):
 @main.command()
 @click.argument("records", type=click.File("r"))
 @click.option("--key", "key_hex", required=True, help="Campaign key, hex.")
-@click.option("--profile-json", type=click.File("w"), help="Also dump the per-offset profile.")
+@click.option("--profile-json", type=click.File("w", lazy=False), help="Also dump the per-offset profile.")
 def histogram(records, key_hex, profile_json):
     """Distributions of faulted operations and corrupted bit counts."""
     ks, recs = _keyed_records(key_hex, records)
@@ -155,11 +155,16 @@ def histogram(records, key_hex, profile_json):
 def recommend(records, key_hex, target_rounds):
     """Choose the glitch offset with the best usable-fault rate per round."""
     ks, recs = _keyed_records(key_hex, records)
-    if target_rounds:
+    if target_rounds is not None:
         try:
             rounds = [int(r) for r in target_rounds.split(",")]
         except ValueError:
             _fail(2, "--target-rounds takes comma-separated integers")
+        for rnd in rounds:
+            try:
+                StepId(rnd, AesOp.MIX_COLUMNS).validate(ks.n_rounds)
+            except ValueError as err:
+                _fail(2, f"--target-rounds: {err}")
     else:
         rounds = [ks.n_rounds - 2, ks.n_rounds - 3]
     profile = build_profile(ks, recs)
@@ -172,8 +177,12 @@ def recommend(records, key_hex, target_rounds):
 
 
 def _clean_reference(recs, plaintext_arg, clean_ct_arg):
-    if plaintext_arg and clean_ct_arg:
-        return _parse_hex(plaintext_arg, "--plaintext", (16,)), _parse_hex(clean_ct_arg, "--clean-ct", (16,))
+    overrides = {"--plaintext": plaintext_arg, "--clean-ct": clean_ct_arg}
+    given = [_parse_hex(text, flag, (16,)) for flag, text in overrides.items() if text is not None]
+    if len(given) == 1:
+        _fail(2, "--plaintext and --clean-ct go together")
+    if given:
+        return tuple(given)
     plaintexts = {rec.plaintext for rec in recs}
     if len(plaintexts) != 1:
         _fail(2, "records mix plaintexts; the attack needs a fixed-plaintext campaign")
@@ -184,10 +193,21 @@ def _clean_reference(recs, plaintext_arg, clean_ct_arg):
     return baseline.plaintext, baseline.ciphertext
 
 
+def _quantized(ctx, param, value):
+    try:
+        return None if value is None else quantize_offset(value)
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from None
+
+
 @main.command()
 @click.argument("records", type=click.File("r"))
-@click.option("--r2-offset", type=float, help="Offset whose records feed the last-round stage.")
-@click.option("--r3-offset", type=float, help="Offset whose records feed the earlier stage.")
+@click.option(
+    "--r2-offset", type=float, callback=_quantized, help="Offset whose records feed the last-round stage.",
+)
+@click.option(
+    "--r3-offset", type=float, callback=_quantized, help="Offset whose records feed the earlier stage.",
+)
 @click.option(
     "--split-with-key",
     "split_key_hex",
@@ -198,8 +218,10 @@ def _clean_reference(recs, plaintext_arg, clean_ct_arg):
 @click.option("--key-size", type=click.Choice(["128", "192", "256"]), default="256")
 @click.option("--plaintext", "plaintext_arg", default=None, help="Override the campaign plaintext.")
 @click.option("--clean-ct", "clean_ct_arg", default=None, help="Override the clean ciphertext.")
-@click.option("--max-groupings", type=int, default=DEFAULT_GROUPING_BUDGET, show_default=True)
-@click.option("-o", "--output", type=click.File("w"), default="-", help="Report destination.")
+@click.option(
+    "--max-groupings", type=click.IntRange(min=1), default=DEFAULT_GROUPING_BUDGET, show_default=True,
+)
+@click.option("-o", "--output", type=click.File("w", lazy=False), default="-", help="Report destination.")
 def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plaintext_arg,
            clean_ct_arg, max_groupings, output):
     """Recover the key from a campaign file; exit 0 only on verified success."""
@@ -209,7 +231,7 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
     faulted = [rec for rec in recs if rec.faulted]
 
     if split_key_hex is not None:
-        ks = expand_key(_parse_hex(split_key_hex))
+        ks = expand_key(_parse_hex(split_key_hex, "--split-with-key"))
         pools = {ks.n_rounds - 2: [], ks.n_rounds - 3: []}
         for rec in faulted:
             report = localize_record(ks, rec.plaintext, rec.ciphertext)
@@ -219,10 +241,6 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
     else:
         if r2_offset is None or (key_size != 128 and r3_offset is None):
             _fail(2, "pass --r2-offset/--r3-offset, or --split-with-key for simulations")
-        try:
-            r2_offset, r3_offset = (n if n is None else quantize_offset(n) for n in (r2_offset, r3_offset))
-        except ValueError as err:
-            _fail(2, str(err))
         r2_cts = [rec.ciphertext for rec in faulted if rec.offset_n == r2_offset]
         r3_cts = [rec.ciphertext for rec in faulted if rec.offset_n == r3_offset]
 

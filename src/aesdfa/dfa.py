@@ -33,15 +33,12 @@ from itertools import product
 from math import prod
 from typing import Callable, Sequence
 
-from .aes import INV_SBOX, gf_mul, mix_columns, peel_final_round, xor_bytes
+from .aes import INV_SBOX, gf_mul, mix_columns, peel_final_round
 
 __all__ = [
     "DiagonalGroup",
     "DIAGONAL_GROUPS",
     "CipherTables",
-    "AES_TABLES",
-    "MIX_COEFFS",
-    "column_pattern",
     "ColumnCandidates",
     "DfaResult",
     "InconsistentPairError",
@@ -49,29 +46,14 @@ __all__ = [
     "last_round_key",
     "single_column_key",
     "penultimate_round_key",
-    "group_of_diff",
 ]
 
-# MixColumns constant matrix, row-major: MIX_COEFFS[out_row][in_row].
-MIX_COEFFS = (
-    (2, 3, 1, 1),
-    (1, 2, 3, 1),
-    (1, 1, 2, 3),
-    (3, 1, 1, 2),
-)
+# Differential coefficients a fault in state row r imprints on its column:
+# column r of the MixColumns matrix, a rotation of (2, 1, 1, 3).
+_FAULT_COLUMNS = ((2, 1, 1, 3), (3, 2, 1, 1), (1, 3, 2, 1), (1, 1, 3, 2))
 
 # larger candidate products are left unassembled
 _MAX_PRODUCT = 16
-
-
-def column_pattern(row: int) -> tuple[int, int, int, int]:
-    """Differential coefficients a fault in `row` imprints on its column.
-
-    Column `row` of the MixColumns matrix; always a rotation of (2,1,1,3).
-    """
-    if not 0 <= row <= 3:
-        raise ValueError(f"fault row must be 0..3, got {row}")
-    return tuple(MIX_COEFFS[i][row] for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -88,12 +70,6 @@ def _group_positions(g: int) -> tuple[int, int, int, int]:
 
 
 DIAGONAL_GROUPS = tuple(DiagonalGroup(g, _group_positions(g)) for g in range(4))
-
-
-def group_of_diff(diff: bytes) -> list[DiagonalGroup]:
-    """The diagonal groups a ciphertext difference touches."""
-    touched = {i for i, b in enumerate(diff) if b}
-    return [g for g in DIAGONAL_GROUPS if touched & set(g.positions)]
 
 
 @dataclass(frozen=True)
@@ -115,7 +91,7 @@ class CipherTables:
         return times, {c: {d: eps for eps, d in enumerate(t) if eps} for c, t in times.items()}
 
 
-AES_TABLES = CipherTables(inv_sbox=INV_SBOX, mul=gf_mul, n_values=256)
+_AES_TABLES = CipherTables(inv_sbox=INV_SBOX, mul=gf_mul, n_values=256)
 
 
 @dataclass(frozen=True)
@@ -124,11 +100,6 @@ class ColumnCandidates:
 
     group: DiagonalGroup
     tuples: frozenset[int]
-
-    def intersect(self, other: "ColumnCandidates") -> "ColumnCandidates":
-        if self.group.index != other.group.index:
-            raise ValueError("cannot intersect candidates of different groups")
-        return ColumnCandidates(self.group, self.tuples & other.tuples)
 
 
 class InconsistentPairError(Exception):
@@ -171,7 +142,7 @@ def column_candidates(
     ref_bytes: Sequence[int],
     faulty_bytes: Sequence[int],
     group: DiagonalGroup,
-    tables: CipherTables = AES_TABLES,
+    tables: CipherTables = _AES_TABLES,
 ) -> ColumnCandidates:
     """Key tuples for one group consistent with some single-fault hypothesis.
 
@@ -197,8 +168,7 @@ def column_candidates(
         by_diff.append(solutions)
     first, second, third, fourth = by_diff
     tuples: set[int] = set()
-    for row in range(4):
-        c0, c1, c2, c3 = column_pattern(row)
+    for c0, c1, c2, c3 in _FAULT_COLUMNS:
         eps_of, times1, times2, times3 = div[c0], times[c1], times[c2], times[c3]
         for d0, k0s in first.items():
             eps = eps_of.get(d0)  # None for d0 = 0, which is no fault
@@ -212,6 +182,14 @@ def column_candidates(
 
 def _split_groups(ct: bytes) -> list[tuple[int, ...]]:
     return [tuple(ct[p] for p in g.positions) for g in DIAGONAL_GROUPS]
+
+
+def _narrow(acc: frozenset[int] | None, g: int, ref: tuple, fault: tuple, memo: dict) -> frozenset[int]:
+    """`acc` intersected with group g's tuples for one pair, enumerated once per memo."""
+    fresh = memo.get((g, ref, fault))
+    if fresh is None:
+        fresh = memo[g, ref, fault] = array("I", column_candidates(ref, fault, DIAGONAL_GROUPS[g]).tuples)
+    return frozenset(fresh) if acc is None else acc.intersection(fresh)
 
 
 def _key_product(columns: Sequence[ColumnCandidates | None]) -> list[bytes]:
@@ -262,10 +240,7 @@ def last_round_key(
             continue
         merged = []
         for g, (ref, fault) in enumerate(zip(ref_groups, faulty_groups)):
-            fresh = memo.get((g, ref, fault))
-            if fresh is None:
-                fresh = memo[g, ref, fault] = array("I", column_candidates(ref, fault, DIAGONAL_GROUPS[g]).tuples)
-            joint = frozenset(fresh) if acc[g] is None else acc[g].intersection(fresh)
+            joint = _narrow(acc[g], g, ref, fault, memo)
             if not joint:
                 break
             merged.append(joint)
@@ -297,9 +272,11 @@ def single_column_key(ref_ct: bytes, faulty_cts: Sequence[bytes]) -> DfaResult:
     """
     if not faulty_cts:
         raise ValueError("need at least one faulty ciphertext")
-    group: DiagonalGroup | None = None
-    for faulty in faulty_cts:
-        touched = group_of_diff(xor_bytes(ref_ct, faulty))
+    ref_groups = _split_groups(ref_ct)
+    faulty_groups = [_split_groups(faulty) for faulty in faulty_cts]
+    group: int | None = None
+    for groups in faulty_groups:
+        touched = [g for g, (ref, fault) in enumerate(zip(ref_groups, groups)) if ref != fault]
         if len(touched) != 1:
             raise ValueError(
                 f"difference spans {len(touched)} diagonal groups; "
@@ -307,23 +284,21 @@ def single_column_key(ref_ct: bytes, faulty_cts: Sequence[bytes]) -> DfaResult:
             )
         if group is None:
             group = touched[0]
-        elif touched[0].index != group.index:
+        elif touched[0] != group:
             raise ValueError("faulty ciphertexts target different diagonal groups")
 
-    acc: ColumnCandidates | None = None
+    acc: frozenset[int] | None = None
+    memo: dict = {}
     result = DfaResult(candidates=(None,) * 4)
-    ref_bytes = tuple(ref_ct[p] for p in group.positions)
-    for idx, faulty in enumerate(faulty_cts):
-        cand = column_candidates(ref_bytes, tuple(faulty[p] for p in group.positions), group)
-        merged = cand if acc is None else acc.intersect(cand)
-        if not merged.tuples:
-            raise InconsistentPairError(faulty, group)
-        acc = merged
+    for idx, (faulty, groups) in enumerate(zip(faulty_cts, faulty_groups)):
+        acc = _narrow(acc, group, ref_groups[group], groups[group], memo)
+        if not acc:
+            raise InconsistentPairError(faulty, DIAGONAL_GROUPS[group])
         result.used.append(idx)
 
-    result.candidates = tuple(acc if g == group else None for g in DIAGONAL_GROUPS)
-    if len(acc.tuples) == 1:
-        result.keys = [next(iter(acc.tuples)).to_bytes(4, "little")]
+    result.candidates = tuple(ColumnCandidates(g, acc) if g.index == group else None for g in DIAGONAL_GROUPS)
+    if len(acc) == 1:
+        result.keys = [next(iter(acc)).to_bytes(4, "little")]
     return result
 
 

@@ -22,18 +22,18 @@ cipher key. AES-128 stops after the first stage.
 second_order, or auto (pairwise, then second order). Both stages solve
 their groupings in one place, and every candidate key goes through one
 verify step against the clean ciphertext, so a report never carries an
-unverified key. A grouping that leaves a small product of candidate keys
-(at most 16) is set aside and its keys are tried once the stage's
-single-key groupings are used up, which keeps their search order. One
-search shares one candidate memo across its groupings. The second-order
-search needs 3 distinct faulty ciphertexts per stage, with the dynamic
-faults on one state byte.
+unverified key; the search stops at the first key that verifies. A
+grouping that leaves a small product of candidate keys (at most 16) is
+set aside and its keys are tried once the stage's single-key groupings
+are used up, which keeps their search order. One search shares one
+candidate memo across its groupings. The second-order search needs 3
+distinct faulty ciphertexts per stage, with the dynamic faults on one
+state byte.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -43,6 +43,7 @@ from .dfa import InconsistentPairError, last_round_key, penultimate_round_key
 
 __all__ = [
     "AttackReport",
+    "DEFAULT_GROUPING_BUDGET",
     "verify_key",
     "recover_key",
 ]
@@ -59,8 +60,9 @@ def verify_key(key: bytes, pt: bytes, clean_ct: bytes) -> bool:
 class AttackReport:
     """Outcome and statistics of one recovery run.
 
-    `recovered_key` is present only when verify_key passed on it.
-    `groupings_attempted`/`groupings_succeeded` count per stage;
+    `recovered_key` is present only when verify_key passed on it, and
+    `groupings_succeeded` is then 1: the search stops at the first verified
+    key. `groupings_attempted` counts per stage;
     `usable_last_round` / `usable_earlier_round` flag the inputs that were
     part of a grouping whose key verified. `failure` names the stage that
     ran dry: the penultimate one once any last round key reached it.
@@ -74,15 +76,12 @@ class AttackReport:
     usable_last_round: list[bool] = field(default_factory=list)
     usable_earlier_round: list[bool] = field(default_factory=list)
     failure: str | None = None
-    wall_time: float = 0.0
 
     @property
     def total_groupings(self) -> int:
         return sum(self.groupings_attempted.values())
 
     def to_json(self) -> str:
-        # wall_time deliberately stays out: outputs are deterministic,
-        # timings are reported on a side channel
         return json.dumps(
             {
                 "mode": self.mode,
@@ -127,7 +126,6 @@ def _run_attack(
     pt: bytes,
     key_size: int,
     max_groupings: int,
-    exhaustive: bool,
 ) -> AttackReport:
     two_stage = key_size != 128
     ref_ct = clean_ct if mode == "pairwise" else None
@@ -137,7 +135,6 @@ def _run_attack(
         usable_last_round=[False] * len(r2_cts),
         usable_earlier_round=[False] * len(r3_cts),
     )
-    started = time.perf_counter()
     memo: dict = {}
     seen_last_keys: set[bytes] = set()
 
@@ -182,26 +179,21 @@ def _run_attack(
             key = invert_key_schedule(key_size, list(round_keys.values())[::-1])
             if not verify_key(key, pt, clean_ct):
                 continue  # spurious solution; keep searching
-            report.groupings_succeeded += 1
-            if report.recovered_key is None:
-                report.recovered_key = key
-                report.round_keys = round_keys
-                for i in members:
-                    report.usable_last_round[i] = True
-                for i in earlier:
-                    report.usable_earlier_round[i] = True
-            if not exhaustive:
-                break
+            report.groupings_succeeded = 1
+            report.recovered_key = key
+            report.round_keys = round_keys
+            for i in members:
+                report.usable_last_round[i] = True
+            for i in earlier:
+                report.usable_earlier_round[i] = True
+            return report
         dry_stage = "penultimate" if two_stage and seen_last_keys else "last_round"
-        failure = f"stage {dry_stage} exhausted after {report.groupings_attempted[dry_stage]} groupings"
+        report.failure = f"stage {dry_stage} exhausted after {report.groupings_attempted[dry_stage]} groupings"
         distinct = len(set(r3_cts if dry_stage == "penultimate" else r2_cts))
         if ref_ct is None and distinct < 3:
-            failure += f": second order needs 3 distinct faulty ciphertexts, got {distinct}"
+            report.failure += f": second order needs 3 distinct faulty ciphertexts, got {distinct}"
     except _BudgetExhausted as err:
-        failure = f"grouping budget of {max_groupings} exhausted in stage {err.stage}"
-    if report.recovered_key is None:
-        report.failure = failure
-    report.wall_time = time.perf_counter() - started
+        report.failure = f"grouping budget of {max_groupings} exhausted in stage {err.stage}"
     return report
 
 
@@ -213,7 +205,6 @@ def recover_key(
     key_size: int = 256,
     mode: str = "auto",
     max_groupings: int = DEFAULT_GROUPING_BUDGET,
-    exhaustive: bool = False,
 ) -> AttackReport:
     """Recover the full cipher key from classified fault pools.
 
@@ -224,9 +215,8 @@ def recover_key(
     fixed-plaintext discipline, because the static contribution is only
     constant across samples of one campaign, and it uses the clean
     ciphertext solely to verify assembled keys. `auto` tries the pairwise
-    search and falls back to the second-order one. `max_groupings` caps
-    the groupings of one search over both stages; `exhaustive` keeps
-    counting verified groupings after the first.
+    search and falls back to the second-order one. `max_groupings`, at
+    least 1, caps the groupings of one search over both stages.
     """
     if key_size not in (bits * 8 for bits in ROUNDS_BY_KEY_LEN):
         raise ValueError(f"key_size must be 128, 192 or 256, got {key_size}")
@@ -236,7 +226,9 @@ def recover_key(
         raise ValueError(f"AES-{key_size} needs earlier-round ciphertexts for its second stage")
     if mode not in ("pairwise", "second_order", "auto"):
         raise ValueError(f"mode must be pairwise, second_order or auto, got {mode!r}")
-    args = (clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings, exhaustive)
+    if max_groupings < 1:
+        raise ValueError(f"max_groupings must be at least 1, got {max_groupings}")
+    args = (clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings)
     if mode != "auto":
         return _run_attack(mode, *args)
 
@@ -248,5 +240,4 @@ def recover_key(
     second.mode = "auto:second_order"
     for stage, count in first.groupings_attempted.items():
         second.groupings_attempted[stage] += count
-    second.wall_time += first.wall_time
     return second

@@ -12,6 +12,11 @@ def oracle_encrypt(key: bytes, block: bytes) -> bytes:
     return enc.update(block) + enc.finalize()
 
 
+def flat_index(row: int, col: int) -> int:
+    # FIPS-197 3.4: the state byte at (row, col) is input byte 4*col + row
+    return 4 * col + row
+
+
 def oracle_decrypt(key: bytes, block: bytes) -> bytes:
     dec = Cipher(algorithms.AES(key), modes.ECB()).decryptor()
     return dec.update(block) + dec.finalize()

@@ -16,7 +16,6 @@ from aesdfa.aes import (
     encrypt_block,
     encrypt_trace,
     expand_key,
-    flat_index,
     gf_mul,
     invert_key_schedule,
     inv_mix_columns,
@@ -28,7 +27,7 @@ from aesdfa.aes import (
     sub_bytes,
     xor_bytes,
 )
-from reference import oracle_encrypt, oracle_gf_mul
+from reference import flat_index, oracle_encrypt, oracle_gf_mul
 
 # FIPS-197 appendix keys and the C.1/C.3 example blocks, cross-checked
 # against the OpenSSL oracle before use.

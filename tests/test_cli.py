@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -145,6 +146,16 @@ class TestHistogram:
         assert sum(v["ambiguous"] for v in payload.values()) == 6
         assert all(v["ambiguous"] <= v["faulted"] for v in payload.values())
 
+    def test_unwritable_profile_json_fails_first(self, runner, tmp_path):
+        out = simulate_to(runner, tmp_path)
+        dest = tmp_path / "missing" / "profile.json"
+        result = runner.invoke(
+            main, ["histogram", str(out), "--key", KEY.hex(), "--profile-json", str(dest)]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--profile-json'" in result.stderr
+        assert result.stdout == ""  # the tables were not printed
+
 
 class TestRecommend:
     def test_default_targets(self, runner, tmp_path):
@@ -161,6 +172,24 @@ class TestRecommend:
         )
         assert result.exit_code == 1
         assert "no viable offset" in result.output
+
+    @pytest.mark.parametrize(
+        "rounds, message",
+        [
+            ("99", "--target-rounds: round 99 out of range 0..14"),
+            ("-3", "--target-rounds: round -3 out of range 0..14"),
+            ("12,14", "--target-rounds: the last round has no MixColumns"),
+            ("12,x", "--target-rounds takes comma-separated integers"),
+        ],
+    )
+    def test_rounds_without_mix_columns(self, runner, tmp_path, rounds, message):
+        out = simulate_to(runner, tmp_path)
+        result = runner.invoke(
+            main, ["recommend", str(out), "--key", KEY.hex(), "--target-rounds", rounds]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
 
 
 class TestAttack:
@@ -253,6 +282,39 @@ class TestAttack:
         assert result.exit_code == 2
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("flag", ["--plaintext", "--clean-ct"])
+    def test_block_overrides_go_together(self, runner, tmp_path, flag):
+        out = simulate_to(runner, tmp_path)
+        blocks = {"--plaintext": PT.hex(), "--clean-ct": encrypt_block(PT, expand_key(KEY)).hex()}
+        args = ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"]
+        both = runner.invoke(main, [*args, *(x for kv in blocks.items() for x in kv)])
+        assert both.exit_code == 0, both.output
+        result = runner.invoke(main, [*args, flag, blocks[flag]])
+        assert result.exit_code == 2
+        assert result.stderr == "error: --plaintext and --clean-ct go together\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one(self, runner, tmp_path, budget):
+        out = simulate_to(runner, tmp_path)
+        result = runner.invoke(
+            main,
+            ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25", "--max-groupings", budget],
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '--max-groupings': {budget} is not in the range x>=1" in result.stderr
+        assert result.stdout == ""
+
+    def test_unwritable_output_fails_before_the_search(self, runner, tmp_path):
+        out = simulate_to(runner, tmp_path)
+        dest = tmp_path / "missing" / "report.json"
+        result = runner.invoke(
+            main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25", "-o", str(dest)]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '-o' / '--output'" in result.stderr
+        assert "wall time" not in result.stderr
+
     def test_offset_within_tolerance_snaps(self, runner, tmp_path):
         # the same quarter-cycle rule as config files: float noise snaps
         out = simulate_to(runner, tmp_path)
@@ -301,7 +363,7 @@ class TestStrictHex:
         out = simulate_to(runner, tmp_path)
         result = runner.invoke(main, ["localize", str(out), "--key", bad(KEY.hex())])
         assert result.exit_code == 2
-        assert "key is not valid hex" in result.output
+        assert "error: --key is not valid hex" in result.output
 
     @pytest.mark.parametrize("flag", ["--plaintext", "--clean-ct"])
     def test_block_flags(self, runner, tmp_path, bad, flag):
@@ -415,6 +477,61 @@ class TestBust:
         result = runner.invoke(main, ["bust", str(path), "--workers", "0"])
         assert result.exit_code == 2
         assert result.stdout == ""
+
+
+ATTACK = ["attack", "{campaign}", "--r2-offset", "271.5", "--r3-offset", "272.25"]
+
+# one malformed value per parameter of every command
+MALFORMED = {
+    ("simulate", "config"): ["simulate", "{missing}"],
+    ("simulate", "output"): ["simulate", "{config}", "-o", "{missing}"],
+    ("localize", "records"): ["localize", "{missing}", "--key", KEY.hex()],
+    ("localize", "key_hex"): ["localize", "{campaign}", "--key", "zz"],
+    ("histogram", "records"): ["histogram", "{missing}", "--key", KEY.hex()],
+    ("histogram", "key_hex"): ["histogram", "{campaign}", "--key", KEY.hex()[:-2]],
+    ("histogram", "profile_json"): ["histogram", "{campaign}", "--key", KEY.hex(), "--profile-json", "{missing}"],
+    ("recommend", "records"): ["recommend", "{missing}", "--key", KEY.hex()],
+    ("recommend", "key_hex"): ["recommend", "{campaign}", "--key", KEY.hex().upper()],
+    ("recommend", "target_rounds"): ["recommend", "{campaign}", "--key", KEY.hex(), "--target-rounds", "14"],
+    ("attack", "records"): ["attack", "{missing}", "--r2-offset", "271.5", "--r3-offset", "272.25"],
+    ("attack", "r2_offset"): ["attack", "{campaign}", "--r2-offset", "271.3", "--r3-offset", "272.25"],
+    ("attack", "r3_offset"): ["attack", "{campaign}", "--r2-offset", "271.5", "--r3-offset", "nan"],
+    ("attack", "split_key_hex"): ["attack", "{campaign}", "--split-with-key", "zz"],
+    ("attack", "mode"): [*ATTACK, "--mode", "exhaustive"],
+    ("attack", "key_size"): [*ATTACK, "--key-size", "512"],
+    ("attack", "plaintext_arg"): [*ATTACK, "--plaintext", "ZZZZ"],
+    ("attack", "clean_ct_arg"): [*ATTACK, "--clean-ct", "00"],
+    ("attack", "max_groupings"): [*ATTACK, "--max-groupings", "0"],
+    ("attack", "output"): [*ATTACK, "-o", "{missing}"],
+    ("bust", "artifacts"): ["bust", "{missing}"],
+    ("bust", "workers"): ["bust", "{artifacts}", "--workers", "-1"],
+    ("bust", "borrow"): ["bust", "{artifacts}", "--borrow", "middle"],
+}
+PARAMS = {(name, param.name): param for name, command in main.commands.items() for param in command.params}
+
+
+def test_malformed_table_covers_every_parameter():
+    assert sorted(MALFORMED) == sorted(PARAMS)
+
+
+@pytest.mark.parametrize("command, param", sorted(PARAMS), ids=[f"{c}-{p}" for c, p in sorted(PARAMS)])
+def test_malformed_value_exits_2_and_names_its_parameter(runner, tmp_path, command, param):
+    if (command, param) not in MALFORMED:
+        pytest.fail(f"no malformed value for {command} {param}")
+    campaign = simulate_to(runner, tmp_path)
+    (tmp_path / "campaign.cfg").write_text(CONFIG)
+    paths = {
+        "campaign": str(campaign),
+        "config": str(tmp_path / "campaign.cfg"),
+        "artifacts": str(artifact_file(tmp_path, [bytes(range(16))])),
+        "missing": str(tmp_path / "missing" / "file"),
+    }
+    result = runner.invoke(main, [arg.format(**paths) for arg in MALFORMED[command, param]])
+    option = PARAMS[command, param]
+    name = max(option.opts, key=len) if isinstance(option, click.Option) else option.human_readable_name
+    assert result.exit_code == 2, result.output
+    assert name in result.stderr.splitlines()[-1]  # the error line, not click's usage line
+    assert result.stdout == ""
 
 
 class TestHistogramAllClean:

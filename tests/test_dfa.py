@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 
 import pytest
 
-from aesdfa.aes import INV_SBOX, AesOp, StepId, encrypt_block, expand_key, gf_mul, xor_bytes
+from aesdfa.aes import INV_SBOX, AesOp, StepId, encrypt_block, expand_key, gf_mul
 from aesdfa.dfa import (
     DIAGONAL_GROUPS,
-    AES_TABLES,
     InconsistentPairError,
     column_candidates,
-    column_pattern,
-    group_of_diff,
     last_round_key,
     penultimate_round_key,
     single_column_key,
@@ -21,7 +18,7 @@ from aesdfa.dfa import (
 from aesdfa.faults import FaultSpec, encrypt_with_faults
 from aesdfa.aes import invert_key_schedule
 from simhelpers import fault_campaign
-from toycipher import TOY_TABLES, exhaustive_tuples, pack, toy_fault_pair
+from toycipher import MIX_MATRIX, TOY_TABLES, exhaustive_tuples, pack, toy_fault_pair
 
 KEY = bytes.fromhex("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -42,6 +39,11 @@ def make_pair(rng, key=None, fault_round=12):
     return ks, pt, ref, encrypt_with_faults(pt, ks, faults)
 
 
+def touched_groups(ref, ct):
+    """The diagonal groups in which two ciphertexts differ."""
+    return [g for g in DIAGONAL_GROUPS if any(ref[p] != ct[p] for p in g.positions)]
+
+
 class TestDiagonalGroups:
     def test_partition(self):
         seen = [p for g in DIAGONAL_GROUPS for p in g.positions]
@@ -53,13 +55,6 @@ class TestDiagonalGroups:
     def test_leading_position(self):
         for g in DIAGONAL_GROUPS:
             assert g.positions[0] == 4 * g.index
-
-    def test_group_of_diff(self):
-        diff = bytearray(16)
-        diff[0] = diff[10] = 1
-        assert [g.index for g in group_of_diff(bytes(diff))] == [0]
-        diff[4] = 1
-        assert [g.index for g in group_of_diff(bytes(diff))] == [0, 1]
 
 
 class TestColumnCandidates:
@@ -113,10 +108,10 @@ class TestColumnCandidates:
                 column_candidates([ref[p] for p in g.positions], [ct[p] for p in g.positions], g)
                 for ct in cts
             ]
-            joint = cands[0].intersect(cands[1])
+            joint = cands[0].tuples & cands[1].tuples
             expected = pack(ks.round_keys[14][p] for p in g.positions)
-            assert expected in joint.tuples
-            if len(joint.tuples) == 1:
+            assert expected in joint
+            if len(joint) == 1:
                 singletons += 1
         assert singletons >= 18
 
@@ -132,7 +127,7 @@ def predicate_tuples(ref, faulty):
         by_diff.append(solutions)
     tuples = set()
     for row in range(4):
-        coeffs = column_pattern(row)
+        coeffs = [MIX_MATRIX[i][row] for i in range(4)]
         for eps in range(1, 256):
             per_pos = [by_diff[i].get(gf_mul(coeffs[i], eps), []) for i in range(4)]
             tuples.update(pack(t) for t in product(*per_pos))
@@ -263,7 +258,7 @@ class TestSingleColumnKey:
         for upto in range(1, 6):
             result = single_column_key(ref, cts[:upto])
             if result.key is not None:
-                group = group_of_diff(xor_bytes(ref, cts[0]))[0]
+                (group,) = touched_groups(ref, cts[0])
                 assert result.key == bytes(ks.round_keys[14][p] for p in group.positions)
                 break
         else:
@@ -276,7 +271,7 @@ class TestSingleColumnKey:
         ref = encrypt_block(pt, ks)
         for pos in (0, 5, 10, 15):  # one state column each
             ct = encrypt_with_faults(pt, ks, [byte_fault(13, pos, 0x3C)])
-            (group,) = group_of_diff(xor_bytes(ref, ct))
+            (group,) = touched_groups(ref, ct)
             result = single_column_key(ref, [ct])
             assert [c is not None for c in result.candidates] == [g == group for g in DIAGONAL_GROUPS]
             truth = pack(ks.round_keys[14][p] for p in group.positions)
@@ -406,15 +401,3 @@ class TestSoundnessProperties:
         for col in result.candidates:
             assert pack(peeled_target[p] for p in col.group.positions) in col.tuples
 
-
-def test_column_patterns_are_rotations():
-    from aesdfa.dfa import column_pattern
-
-    base = (2, 1, 1, 3)
-    assert column_pattern(0) == base
-    for row in range(4):
-        pattern = column_pattern(row)
-        doubled = base + base
-        assert any(doubled[i:i + 4] == pattern for i in range(4))
-    with pytest.raises(ValueError, match="0..3"):
-        column_pattern(4)

@@ -12,7 +12,6 @@ from aesdfa.aes import (
     encrypt_block,
     encrypt_trace,
     expand_key,
-    flat_index,
     inv_mix_columns,
     inv_shift_rows,
     inv_sub_bytes,

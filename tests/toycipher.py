@@ -7,10 +7,14 @@ space of one column is 16^4, small enough to enumerate completely.
 
 import numpy as np
 
-from aesdfa.dfa import MIX_COEFFS, CipherTables
+from aesdfa.dfa import CipherTables
 
 TOY_SBOX = (0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2)
 TOY_INV_SBOX = tuple(TOY_SBOX.index(i) for i in range(16))
+
+# The AES MixColumns matrix (FIPS-197 5.1.3), row-major: MIX_MATRIX[out_row][in_row].
+# A fault in state row r imprints column r on its column's differences.
+MIX_MATRIX = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 
 
 def gf16_mul(a: int, b: int) -> int:
@@ -47,7 +51,7 @@ def toy_fault_pair(rng):
     state = [rng.randrange(16) for _ in range(4)]
     row = rng.randrange(4)
     eps = rng.randrange(1, 16)
-    coeffs = [MIX_COEFFS[i][row] for i in range(4)]
+    coeffs = [MIX_MATRIX[i][row] for i in range(4)]
     ref = [TOY_SBOX[state[i]] ^ key[i] for i in range(4)]
     faulty = [TOY_SBOX[state[i] ^ gf16_mul(coeffs[i], eps)] ^ key[i] for i in range(4)]
     return key, ref, faulty
@@ -67,7 +71,7 @@ def exhaustive_tuples(ref, faulty):
 
     ok = np.zeros((16, 16, 16, 16), dtype=bool)
     for row in range(4):
-        coeffs = [MIX_COEFFS[i][row] for i in range(4)]
+        coeffs = [MIX_MATRIX[i][row] for i in range(4)]
         eps = _DIV[d[0], coeffs[0]]  # candidate fault value implied by position 0
         cond = (d[0] != 0)[:, None, None, None]
         cond = cond & (_MUL[coeffs[1]][eps][:, None, None, None] == d[1][None, :, None, None])
