@@ -120,18 +120,6 @@ class TraceEntry(NamedTuple):
 Trace = tuple[TraceEntry, ...]
 
 
-def cipher_steps(n_rounds: int) -> list[StepId]:
-    """All StepIds in execution order for an n_rounds-round cipher."""
-    steps = [StepId(0, AesOp.ADD_ROUND_KEY_INITIAL)]
-    for r in range(1, n_rounds + 1):
-        steps.append(StepId(r, AesOp.SUB_BYTES))
-        steps.append(StepId(r, AesOp.SHIFT_ROWS))
-        if r < n_rounds:
-            steps.append(StepId(r, AesOp.MIX_COLUMNS))
-        steps.append(StepId(r, AesOp.ADD_ROUND_KEY))
-    return steps
-
-
 # ---------------------------------------------------------------------------
 # GF(2^8) arithmetic, tables
 
@@ -368,9 +356,13 @@ def invert_key_schedule(key_size: int, trailing_keys: Sequence[bytes]) -> bytes:
 
 _FORWARD_OPS = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
 _INVERSE_OPS = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, AesOp.MIX_COLUMNS: inv_mix_columns}
-# per round count: the steps in encryption order, each paired with its
-# single operation (None for either AddRoundKey flavour)
-_STEPS = {n: tuple(cipher_steps(n)) for n in ROUNDS_BY_KEY_LEN.values()}
+# per round count: every valid step in encryption order, each paired with
+# its single operation (None for either AddRoundKey flavour)
+_STEPS = {
+    n: tuple(StepId(r, op) for r in range(n + 1) for op in AesOp
+             if (r == 0) == (op is AesOp.ADD_ROUND_KEY_INITIAL) and (r < n or op is not AesOp.MIX_COLUMNS))
+    for n in ROUNDS_BY_KEY_LEN.values()
+}
 _FORWARD = {n: tuple((step, _FORWARD_OPS.get(step.op)) for step in steps) for n, steps in _STEPS.items()}
 _INVERSE = {n: tuple((step, _INVERSE_OPS.get(step.op)) for step in reversed(steps)) for n, steps in _STEPS.items()}
 _STEP_INDEX = {n: {step: i for i, step in enumerate(steps)} for n, steps in _STEPS.items()}

@@ -11,10 +11,10 @@ Data-stage scans run on the OpenSSL AES backend with candidate blocks
 batched per call. The slave stage varies the key instead, so it runs a
 numpy AES-256 over the whole batch of keys: the 32-bit T-table form of
 Daemen & Rijmen (The Design of Rijndael, 2002), one uint32 array per state
-column. Scans partition cleanly across worker processes; the lowest
-matching chunk value wins, so results do not depend on the worker count.
-In test widths the whole range is scanned and uniqueness of the match is
-asserted.
+column. A scan runs as ascending blocks of chunk values over at most one
+process per CPU. Above 16 bits it stops at the first block that matches; in
+test widths it reads every block and asserts the match is unique. Either
+way the lowest match wins, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,6 +36,8 @@ from .engine import BorrowArtifacts, slave_key_from_block
 __all__ = ["ArtifactMismatch", "BustResult", "bust"]
 
 _BATCH = 1 << 16
+# a scan runs as ascending blocks of at most this many chunk values
+_BLOCK = 1 << 20
 # full-range scan plus uniqueness assertion at or below this chunk width
 _EXHAUSTIVE_LIMIT = 16
 
@@ -132,10 +136,9 @@ def _scan(
     fixed_key: bytes | None,
     target: bytes,
     exhaustive: bool,
-    start: int,
-    stop: int,
+    block: range,
 ) -> tuple[list[int], int]:
-    """Scan chunk values [start, stop); return (matches, candidates tried).
+    """Scan the chunk values in block; return (matches, candidates tried).
 
     Each value is written big-endian into window of template. With a
     fixed_key the template is a plaintext block and a batch is one OpenSSL
@@ -151,8 +154,8 @@ def _scan(
     target_row = np.frombuffer(target, dtype=np.uint8)
     matches: list[int] = []
     tried = 0
-    for base in range(start, stop, _BATCH):
-        count = min(_BATCH, stop - base)
+    for base in range(block.start, block.stop, _BATCH):
+        count = min(_BATCH, block.stop - base)
         batch = rows[:count]
         values = np.arange(base, base + count, dtype=">u4").view(np.uint8).reshape(count, 4)
         batch[:, window] = values[:, 4 - chunk:]
@@ -167,23 +170,6 @@ def _scan(
             matches.extend(int(base + h) for h in hits)
             if not exhaustive:
                 break
-    return matches, tried
-
-
-def _run_partitioned(args: tuple, space: int, workers: int) -> tuple[list[int], int]:
-    """_scan(*args) over [0, space), split into one range per worker process."""
-    if workers <= 1:
-        return _scan(*args, 0, space)
-    bounds = [space * i // workers for i in range(workers + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
-    matches: list[int] = []
-    tried = 0
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(_scan, *args, lo, hi) for lo, hi in ranges]
-        for fut in futures:
-            got, n = fut.result()
-            matches.extend(got)
-            tried += n
     return matches, tried
 
 
@@ -209,31 +195,39 @@ def bust(
     chunk = art.chunk_bits // 8
     space = 1 << art.chunk_bits
     exhaustive = art.chunk_bits <= _EXHAUSTIVE_LIMIT
+    step = min(_BLOCK, -(-space // workers))
+    blocks = [range(lo, min(lo + step, space)) for lo in range(0, space, step)]
     started = time.perf_counter()
     aes_ops = 0
 
     n_data = len(art.stage_cts)
     known = b""
-    for stage, target in enumerate((*art.stage_cts, art.slave_ct)):
-        chunk_window, known_window = _stage_layout(stage, chunk, borrow)
-        block = bytearray(16)
-        block[known_window] = known
-        if stage < n_data:
-            name, template, fixed_key = f"stage {stage + 1} of {n_data}", bytes(block), art.fixed_key
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for stage, target in enumerate((*art.stage_cts, art.slave_ct)):
+            chunk_window, known_window = _stage_layout(stage, chunk, borrow)
+            block = bytearray(16)
+            block[known_window] = known
+            if stage < n_data:
+                name, template, fixed_key = f"stage {stage + 1} of {n_data}", bytes(block), art.fixed_key
+                note = f"stage {stage + 1}/{n_data}: scanning {space} chunks"
+            else:
+                name, template, fixed_key = "slave", slave_key_from_block(bytes(block)), None
+                note = f"slave stage: scanning {space} keys"
             if progress:
-                progress(f"stage {stage + 1}/{n_data}: scanning {space} chunks")
-        else:
-            name, template, fixed_key = "slave", slave_key_from_block(bytes(block)), None
-            if progress:
-                progress(f"slave stage: scanning {space} keys")
-        matches, tried = _run_partitioned(
-            (template, chunk_window, fixed_key, target, exhaustive), space, workers
-        )
-        aes_ops += tried
-        if not matches or (exhaustive and len(matches) > 1):
-            raise ArtifactMismatch(name if not matches else f"{name} (ambiguous)")
-        found = min(matches).to_bytes(chunk, "big")
-        known = found + known if borrow == "tail" else known + found
+                progress(note)
+            scan = partial(_scan, template, chunk_window, fixed_key, target, exhaustive)
+            results = pool.map(scan, blocks) if pool else (scan(b) for b in blocks)
+            matches: list[int] = []
+            with closing(results):  # cancels the blocks not yet started
+                for got, tried in results:
+                    aes_ops += tried
+                    matches += got
+                    if got and not exhaustive:
+                        break
+            if not matches or (exhaustive and len(matches) > 1):
+                raise ArtifactMismatch(name if not matches else f"{name} (ambiguous)")
+            found = min(matches).to_bytes(chunk, "big")
+            known = found + known if borrow == "tail" else known + found
 
     _verify(art, known, borrow)
     return BustResult(hidden=known, aes_ops=aes_ops, elapsed=time.perf_counter() - started)
@@ -242,10 +236,9 @@ def bust(
 def _verify(art: BorrowArtifacts, hidden: bytes, borrow: str) -> None:
     chunk = art.chunk_bits // 8
     for stage, target in enumerate(art.stage_cts):
-        chunk_window, _ = _stage_layout(stage, chunk, borrow)
         block = bytearray(16)
-        window = slice(chunk_window.start, 16) if borrow == "tail" else slice(0, chunk_window.stop)
-        block[window] = hidden[window]
+        for window in _stage_layout(stage, chunk, borrow):
+            block[window] = hidden[window]
         if _ecb_encrypt(art.fixed_key, bytes(block)) != target:
             raise ArtifactMismatch(f"stage {stage + 1} of {len(art.stage_cts)} (verification)")
     if _ecb_encrypt(slave_key_from_block(hidden), bytes(16)) != art.slave_ct:

@@ -9,6 +9,7 @@ stderr. Exit codes: 0 success, 1 the search or recovery came up empty,
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -58,6 +59,22 @@ def _unique_keys(pairs):
     return obj
 
 
+class _OutputFile(click.File):
+    """Opens at its first write, so a run that stops early leaves no file;
+    parsing opens the path once, to fail a bad one before any work."""
+
+    def convert(self, value, param, ctx):
+        if value != "-":
+            try:
+                existed = os.path.exists(value)
+                open(value, "a").close()
+                if not existed:
+                    os.remove(value)
+            except OSError as err:
+                self.fail(f"'{value}': {err.strerror}", param, ctx)
+        return super().convert(value, param, ctx)
+
+
 def _keyed_records(key_hex, fp):
     """The --key schedule and the records, which the key must reproduce."""
     ks = expand_key(_parse_hex(key_hex, "--key"))
@@ -75,7 +92,7 @@ def main():
 
 @main.command()
 @click.argument("config", type=click.File("r"))
-@click.option("-o", "--output", type=click.File("w", lazy=False), default="-", help="JSONL destination.")
+@click.option("-o", "--output", type=_OutputFile("w"), default="-", help="JSONL destination.")
 def simulate(config, output):
     """Generate a campaign from a flat key=value CONFIG file."""
     try:
@@ -111,7 +128,7 @@ def localize(records, key_hex):
 @main.command()
 @click.argument("records", type=click.File("r"))
 @click.option("--key", "key_hex", required=True, help="Campaign key, hex.")
-@click.option("--profile-json", type=click.File("w", lazy=False), help="Also dump the per-offset profile.")
+@click.option("--profile-json", type=_OutputFile("w"), help="Also dump the per-offset profile.")
 def histogram(records, key_hex, profile_json):
     """Distributions of faulted operations and corrupted bit counts."""
     ks, recs = _keyed_records(key_hex, records)
@@ -221,7 +238,7 @@ def _quantized(ctx, param, value):
 @click.option(
     "--max-groupings", type=click.IntRange(min=1), default=DEFAULT_GROUPING_BUDGET, show_default=True,
 )
-@click.option("-o", "--output", type=click.File("w", lazy=False), default="-", help="Report destination.")
+@click.option("-o", "--output", type=_OutputFile("w"), default="-", help="Report destination.")
 def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plaintext_arg,
            clean_ct_arg, max_groupings, output):
     """Recover the key from a campaign file; exit 0 only on verified success."""

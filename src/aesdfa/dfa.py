@@ -64,12 +64,8 @@ class DiagonalGroup:
     positions: tuple[int, int, int, int]
 
 
-def _group_positions(g: int) -> tuple[int, int, int, int]:
-    # column g byte at row i lands at flat position 4*((g - i) % 4) + i
-    return tuple(4 * ((g - i) % 4) + i for i in range(4))
-
-
-DIAGONAL_GROUPS = tuple(DiagonalGroup(g, _group_positions(g)) for g in range(4))
+# column g byte at row i lands at flat position 4*((g - i) % 4) + i
+DIAGONAL_GROUPS = tuple(DiagonalGroup(g, tuple(4 * ((g - i) % 4) + i for i in range(4))) for g in range(4))
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,8 @@ class BorrowArtifacts:
     chunk_bits: int = 32
 
     def __post_init__(self):
-        if self.chunk_bits not in (8, 16, 24, 32):
-            raise ValueError("chunk_bits must be 8, 16, 24 or 32")
+        if self.chunk_bits not in (8, 16, 32):  # the widths that divide a 16-byte block
+            raise ValueError(f"chunk_bits must be 8, 16 or 32, got {self.chunk_bits}")
         chunk = self.chunk_bits // 8
         if len(self.stage_cts) != 16 // chunk - 1:
             raise ValueError(

@@ -1,5 +1,4 @@
 import random
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -100,16 +99,17 @@ def test_progress_names_each_stage(borrow):
 
 @pytest.mark.parametrize("stage, name", [(0, "stage 1 of 7"), (6, "stage 7 of 7"), (7, "slave")])
 def test_second_match_is_ambiguous(monkeypatch, stage, name):
-    # a full-range scan that matches twice names its stage, data or slave
-    scan = buster._run_partitioned
+    # a full-range scan that matches twice names its stage, data or slave;
+    # at the 16-bit width one worker scans each stage as one block
+    scan = buster._scan
     calls = []
 
-    def doubled(args, space, workers):
-        matches, tried = scan(args, space, workers)
+    def doubled(*args):
+        matches, tried = scan(*args)
         calls.append(args)
-        return (matches + [space - 1] if len(calls) == stage + 1 else matches), tried
+        return (matches + [args[-1].stop - 1] if len(calls) == stage + 1 else matches), tried
 
-    monkeypatch.setattr(buster, "_run_partitioned", doubled)
+    monkeypatch.setattr(buster, "_scan", doubled)
     hidden = bytes(random.Random(17).randrange(256) for _ in range(16))
     with pytest.raises(ArtifactMismatch, match=rf"^no candidate chunk matches the {name} \(ambiguous\) artifact$"):
         bust(synthetic_artifacts(hidden))
@@ -209,7 +209,8 @@ def test_workers_below_one_rejected(workers):
 
 
 class _InlinePool:
-    """ProcessPoolExecutor stand-in that runs each range in this process."""
+    """ProcessPoolExecutor stand-in that runs each block in this process,
+    as the reader asks for it."""
 
     sizes: list = []
 
@@ -222,10 +223,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def map(self, fn, iterable):
+        return (fn(item) for item in iterable)
 
 
 @pytest.mark.parametrize("cpus, pool_size", [(None, None), (1, None), (2, 2), (3, 3)])
@@ -235,5 +234,57 @@ def test_workers_clamped_to_cpu_count(monkeypatch, cpus, pool_size):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     hidden = bytes(random.Random(13).randrange(256) for _ in range(16))
     assert bust(synthetic_artifacts(hidden), workers=1 << 16).hidden == hidden
-    # 7 data stages plus the slave stage, each split over at most the CPU count
-    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size] * 8)
+    # one pool of at most the CPU count serves all 8 stages; one worker needs none
+    assert _InlinePool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_first_match_schedule_ignores_worker_count(monkeypatch):
+    # small batches, blocks and exhaustive limit make a 16-bit set run
+    # first-match over 16 blocks per stage, the schedule of a 32-bit scan
+    monkeypatch.setattr(buster, "_BATCH", 256)
+    monkeypatch.setattr(buster, "_BLOCK", 4096)
+    monkeypatch.setattr(buster, "_EXHAUSTIVE_LIMIT", 8)
+    monkeypatch.setattr(buster.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(buster, "ProcessPoolExecutor", _InlinePool)
+    scan = buster._scan
+    read = []
+
+    def recorded(*args):
+        matches, tried = scan(*args)
+        read.append((args[-1], matches))
+        return matches, tried
+
+    monkeypatch.setattr(buster, "_scan", recorded)
+    rng = random.Random(18)
+    # every chunk value is above the first block, so each stage reads several
+    hidden = b"".join(rng.randrange(4096, 1 << 16).to_bytes(2, "big") for _ in range(8))
+    art = synthetic_artifacts(hidden)
+    outcomes = []
+    for workers in (1, 2, 3):
+        read.clear()
+        result = bust(art, workers=workers)
+        outcomes.append((result.hidden, result.aes_ops))
+        # per stage: blocks ascend from 0, and the last one read holds the match
+        stages = [[]]
+        for block, matches in read:
+            stages[-1].append(block)
+            if matches:
+                stages.append([])
+        assert stages.pop() == []
+        assert len(stages) == 8
+        for blocks in stages:
+            assert [b.start for b in blocks] == list(range(0, 4096 * len(blocks), 4096))
+            assert len(blocks) > 1
+    assert outcomes == [(hidden, outcomes[0][1])] * 3
+    assert outcomes[0][1] < 8 * (1 << 16)
+
+
+@pytest.mark.slow
+def test_full_width_bust_with_two_workers():
+    # the bounded chunk values of the full-width acceptance check; with two
+    # workers the slave stage stops at the block that holds its match
+    rng = random.Random(29)
+    hidden = b"".join(rng.randrange(1 << bits).to_bytes(4, "big") for bits in (17, 26, 26, 26))
+    result = bust(chain_for(hidden, chunk_bits=32), workers=2)
+    assert result.hidden == hidden
+    print(f"{result.aes_ops} block ops in {result.elapsed:.1f}s ({result.blocks_per_second:,.0f}/s)")

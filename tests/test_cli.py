@@ -58,6 +58,17 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "line 7" in result.output
 
+    def test_config_error_leaves_no_output(self, runner, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + "offset 273 = round=99 op=MixColumns\n")
+        kept = tmp_path / "kept.jsonl"
+        kept.write_text("earlier run\n")
+        for dest in (tmp_path / "out.jsonl", kept):
+            result = runner.invoke(main, ["simulate", str(cfg), "-o", str(dest)])
+            assert result.exit_code == 2
+        assert not (tmp_path / "out.jsonl").exists()
+        assert kept.read_text() == "earlier run\n"
+
     def test_line_prefixed_key_is_unknown(self, runner, tmp_path):
         # a key named like internal bookkeeping is still an unknown key
         cfg = tmp_path / "bad.cfg"
@@ -155,6 +166,15 @@ class TestHistogram:
         assert result.exit_code == 2
         assert "Invalid value for '--profile-json'" in result.stderr
         assert result.stdout == ""  # the tables were not printed
+
+    def test_wrong_key_leaves_no_profile_json(self, runner, tmp_path):
+        out = simulate_to(runner, tmp_path)
+        dest = tmp_path / "profile.json"
+        result = runner.invoke(
+            main, ["histogram", str(out), "--key", "00" * 32, "--profile-json", str(dest)]
+        )
+        assert result.exit_code == 2
+        assert not dest.exists()
 
 
 class TestRecommend:
@@ -315,6 +335,18 @@ class TestAttack:
         assert "Invalid value for '-o' / '--output'" in result.stderr
         assert "wall time" not in result.stderr
 
+    def test_early_exits_leave_no_report(self, runner, tmp_path):
+        small = simulate_to(runner, tmp_path, CONFIG.replace("samples = 12", "samples = 1"))
+        args = ["--r2-offset", "271.5", "--r3-offset", "272.25", "-o", str(tmp_path / "report.json")]
+        result = runner.invoke(main, ["attack", str(small), *args])
+        assert result.exit_code == 1
+        assert "pools are too small" in result.stderr
+        with open(small, "a") as fp:
+            fp.write("{}\n")
+        result = runner.invoke(main, ["attack", str(small), *args])
+        assert result.exit_code == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_offset_within_tolerance_snaps(self, runner, tmp_path):
         # the same quarter-cycle rule as config files: float noise snaps
         out = simulate_to(runner, tmp_path)
@@ -446,10 +478,12 @@ class TestBust:
             (lambda s: s.update(chunk_bits=16.7), "chunk_bits must be an integer, got 16.7"),
             (lambda s: s.update(chunk_bits="16"), "chunk_bits must be an integer, got '16'"),
             (lambda s: s.update(chunk_bits=True), "chunk_bits must be an integer, got True"),
+            (lambda s: [s.update(chunk_bits=24)] + [s.pop(f"c{i}") for i in (6, 7, 8)],
+             "chunk_bits must be 8, 16 or 32, got 24"),
             (lambda s: s.update(c9=s.pop("c8")), "blocks must be named c1..c8, got"),
             (lambda s: s.update(c01=s.pop("c1")), "blocks must be named c1..c8, got"),
         ],
-        ids=["fractional", "string", "bool", "gap", "leading-zero"],
+        ids=["fractional", "string", "bool", "24-bit", "gap", "leading-zero"],
     )
     def test_malformed_artifacts_name_their_set(self, runner, tmp_path, edit, message):
         # the second of two sets is malformed; nothing is busted

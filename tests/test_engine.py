@@ -104,5 +104,11 @@ def test_borrow_chain_artifacts_match_definitions():
 def test_artifact_validation():
     with pytest.raises(ValueError, match="chunk_bits"):
         BorrowArtifacts(stage_cts=(bytes(16),) * 3, slave_ct=bytes(16), fixed_key=bytes(16), chunk_bits=12)
+    # three bytes do not divide the block, whatever the stage count
+    for stages in (4, 5):
+        with pytest.raises(ValueError, match="chunk_bits must be 8, 16 or 32, got 24"):
+            BorrowArtifacts(stage_cts=(bytes(16),) * stages, slave_ct=bytes(16), fixed_key=bytes(16), chunk_bits=24)
+    with pytest.raises(ValueError, match="chunk_bits must be 8, 16 or 32, got 24"):
+        run_borrow_chain(engine_with_slots(), 0x208, 0x3F0, bytes(16), FIXED, chunk_bits=24)
     with pytest.raises(ValueError, match="stage ciphertexts"):
         BorrowArtifacts(stage_cts=(bytes(16),) * 3, slave_ct=bytes(16), fixed_key=bytes(16), chunk_bits=16)

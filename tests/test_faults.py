@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aesdfa.aes import (
+    _STEPS,
     AesOp,
     StepId,
-    cipher_steps,
     cipher_with_taps,
     encrypt_block,
     encrypt_trace,
@@ -151,7 +151,7 @@ _INVERSE = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, Ae
 def composed_with_faults(block, ks, faults, inverse):
     """The cipher run one public single operation at a time from `block`,
     each fault's mask XORed, one by one, into the state entering its step."""
-    steps = cipher_steps(ks.n_rounds)
+    steps = _STEPS[ks.n_rounds]
     ops = _INVERSE if inverse else _FORWARD
     state = block
     for step in reversed(steps) if inverse else steps:
@@ -170,7 +170,7 @@ def composed_with_faults(block, ks, faults, inverse):
 @st.composite
 def faulted_runs(draw):
     ks = expand_key(draw(st.binary(min_size=16, max_size=16)) + bytes(draw(st.sampled_from([0, 8, 16]))))
-    steps = cipher_steps(ks.n_rounds)
+    steps = _STEPS[ks.n_rounds]
     # a small step pool makes two masks on one step common; it always holds
     # round 0 and the final AddRoundKey
     pool = [steps[0], steps[-1], *draw(st.lists(st.sampled_from(steps), min_size=1, max_size=2))]

@@ -1,8 +1,9 @@
 """Source rules for the aesdfa package, checked on the syntax tree.
 
-Every name in a module's __all__ is defined at its top level, and no module
-imports an underscore name from a sibling module: private helpers stay
-private to the module that owns them.
+Every name in a module's __all__ is defined at its top level, every
+top-level def, class or assignment without a leading underscore is in
+__all__, and no module imports an underscore name from a sibling module:
+private helpers stay private to the module that owns them.
 
 The public surface is what callers use. Every __all__ name is used from
 another package module, from scripts/ or bench/, or named in README.md;
@@ -55,17 +56,31 @@ def exports(tree: ast.Module) -> list[str]:
     return []
 
 
-def undefined_exports(tree: ast.Module) -> list[str]:
-    defined = set()
+def definitions(tree: ast.Module) -> list[str]:
+    """Names bound at top level by a def, class or assignment, in order."""
+    names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.add(node.name)
+            names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def undefined_exports(tree: ast.Module) -> list[str]:
+    defined = set(definitions(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             defined.update((a.asname or a.name).split(".")[0] for a in node.names)
     return [name for name in exports(tree) if name not in defined]
+
+
+def unexported_publics(tree: ast.Module) -> list[str]:
+    """Public top-level definitions missing from __all__, in a module that has one."""
+    if not any(name == "__all__" for name in definitions(tree)):
+        return []
+    return [name for name in definitions(tree) if not name.startswith("_") and name not in exports(tree)]
 
 
 def private_sibling_imports(tree: ast.Module) -> list[str]:
@@ -137,6 +152,11 @@ def test_all_names_are_defined(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_definitions_are_exported(path):
+    assert unexported_publics(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(ast.parse(path.read_text())) == []
 
@@ -160,6 +180,10 @@ def test_rules_catch_violations():
     tree = ast.parse('from .aes import _cipher, SBOX\n__all__ = ["SBOX", "gone"]\n')
     assert undefined_exports(tree) == ["gone"]
     assert private_sibling_imports(tree) == ["line 1: _cipher"]
+
+    source = 'import os\n__all__ = ["f"]\ndef f(): pass\ndef g(): pass\nclass C: pass\nN: int = 1\n_p = 2\n'
+    assert unexported_publics(ast.parse(source)) == ["g", "C", "N"]
+    assert unexported_publics(ast.parse("def g(): pass\n")) == []  # no __all__, no rule
 
     trees = {
         "aes": ast.parse('__all__ = ["SBOX", "sub_bytes", "in_readme", "lonely"]\n'),

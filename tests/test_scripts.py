@@ -1,6 +1,7 @@
 """The example scripts run end to end with their default arguments."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import aesdfa
+from aesdfa.buster import BustResult
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -30,3 +32,14 @@ def test_master_slot_bust_is_exact():
     sets = [line for line in run_script("master_slot_bust.py").splitlines() if line.startswith("set ")]
     assert len(sets) == 4
     assert all("[exact]" in line for line in sets)
+
+
+def test_master_slot_bust_exits_1_on_a_mismatch(monkeypatch, capsys):
+    main = runpy.run_path(str(SCRIPTS / "master_slot_bust.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "bust", lambda art, workers: BustResult(bytes(16), 7, 2.5))
+    monkeypatch.setattr(sys, "argv", ["master_slot_bust.py", "--sets", "2"])
+    assert main() == 1
+    sets = capsys.readouterr().out.splitlines()
+    assert len(sets) == 2
+    # the time printed is the bust's own
+    assert all("[MISMATCH] 7 ops in 2.50s" in line for line in sets)
