@@ -15,6 +15,10 @@ initial AddRoundKey through the final AddRoundKey (56 entries for AES-256).
 The clean trace of the last few (plaintext, key schedule) pairs is cached:
 `encrypt_trace` returns it, and a faulted encryption resumes from it at the
 first tapped step instead of rerunning the rounds before the fault.
+`decrypt_traces` is the one inverse trace: it decrypts N ciphertexts held
+back to back in one buffer, with a fixed number of bytes and big-integer
+operations per step whatever N is, and `decrypt_trace` is its
+one-ciphertext case.
 
 Everything here is pure and value-based; results are safe to share across
 threads.
@@ -45,6 +49,7 @@ __all__ = [
     "decrypt_block",
     "encrypt_trace",
     "decrypt_trace",
+    "decrypt_traces",
     "cipher_with_taps",
     "peel_final_round",
     "sub_bytes",
@@ -383,12 +388,10 @@ def _cipher(state: bytes, ks: KeySchedule, start: int = 0, taps=None, trace=None
     return state
 
 
-def _inv_cipher(state: bytes, ks: KeySchedule, taps=None, trace=None) -> bytes:
+def _inv_cipher(state: bytes, ks: KeySchedule, taps=None) -> bytes:
     rks = ks.round_keys
     for step, op in _INVERSE[ks.n_rounds]:
         # the state here is the step's output in encryption direction
-        if trace is not None:
-            trace.append(TraceEntry(step, state))
         state = xor_bytes(state, rks[step.round]) if op is None else op(state)
         if taps:
             # now at the state entering `step`, where a fault would land
@@ -403,6 +406,87 @@ def _clean_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     entries: list[TraceEntry] = []
     ct = _cipher(pt, ks, trace=entries)
     return ct, tuple(entries)
+
+
+# ---------------------------------------------------------------------------
+# The batched inverse trace. N states travel back to back in one bytes
+# object, state j in bytes 16j..16j+15, so each inverse step is a fixed
+# number of operations whatever N is: InvSubBytes and the InvMixColumns
+# products are `bytes.translate`, InvShiftRows and the byte rotation within
+# a column are masked shifts of the buffer read as one little-endian int,
+# and AddRoundKey XORs the round key repeated N times.
+
+
+@functools.cache
+def _inv_mix_products() -> tuple[bytes, ...]:
+    # the x9, x13, x11 and x14 tables; T_0[a] holds 14a, 9a, 13a and 11a in
+    # its bytes 0..3
+    t0 = b"".join(t.to_bytes(4, "little") for t in _INV_MIX_TABLES[0])
+    return t0[1::4], t0[2::4], t0[3::4], t0[0::4]
+
+
+# a few sizes: a campaign's full chunks, its last chunk, and single records
+@functools.lru_cache(maxsize=4)
+def _lane_masks(n: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """Masks over n packed states, each a 16-byte pattern repeated n times:
+    row 0, rows 0..2, and per row r = 1..3 the bytes InvShiftRows moves r
+    columns on and those it wraps round to the first columns."""
+
+    def repeat(keep) -> int:
+        return int.from_bytes(bytes(0xFF if keep(i // 4, i % 4) else 0 for i in range(16)) * n, "little")
+
+    shifts = tuple(
+        (r, repeat(lambda col, row: row == r and col < 4 - r), repeat(lambda col, row: row == r and col >= 4 - r))
+        for r in (1, 2, 3)
+    )
+    return repeat(lambda col, row: row == 0), repeat(lambda col, row: row < 3), shifts
+
+
+def _inv_shift_rows_packed(state: bytes, n: int) -> bytes:
+    row0, _, shifts = _lane_masks(n)
+    x = int.from_bytes(state, "little")
+    out = x & row0
+    for r, on, wrap in shifts:
+        out |= (x & on) << (32 * r) | (x & wrap) >> (128 - 32 * r)
+    return out.to_bytes(len(state), "little")
+
+
+def _inv_mix_columns_packed(state: bytes, n: int) -> bytes:
+    # 14a_r ^ 11a_{r+1} ^ 13a_{r+2} ^ 9a_{r+3} as
+    # M14 ^ rot(M11 ^ rot(M13 ^ rot(M9))), rot bringing row r + 1 to row r
+    row0, low3, _ = _lane_masks(n)
+    x = 0
+    for table in _inv_mix_products():
+        x = int.from_bytes(state.translate(table), "little") ^ ((x >> 8) & low3 | (x & row0) << 24)
+    return x.to_bytes(len(state), "little")
+
+
+def decrypt_traces(cts: Sequence[bytes], ks: KeySchedule) -> tuple[bytes, Trace]:
+    """Decrypt N ciphertexts at once: `decrypt_trace` for a whole batch.
+
+    Returns (plaintexts, trace) with every block-valued field holding the N
+    blocks back to back in input order: ciphertext j's state at a step is
+    bytes 16j..16j+15 of that entry. For one ciphertext the result is
+    `decrypt_trace`'s.
+    """
+    for ct in cts:
+        _check_block(ct, "ciphertext")
+    n = len(cts)
+    state = b"".join(cts)
+    entries = []
+    for step in reversed(_STEPS[ks.n_rounds]):
+        # the state here is the step's output in encryption direction
+        entries.append(TraceEntry(step, state))
+        if step.op is AesOp.SUB_BYTES:
+            state = state.translate(_INV_SBOX_BYTES)
+        elif step.op is AesOp.SHIFT_ROWS:
+            state = _inv_shift_rows_packed(state, n)
+        elif step.op is AesOp.MIX_COLUMNS:
+            state = _inv_mix_columns_packed(state, n)
+        else:
+            state = xor_bytes(state, ks.round_keys[step.round] * n)
+    entries.reverse()
+    return state, tuple(entries)
 
 
 def _check_block(block: bytes, name: str) -> None:
@@ -437,10 +521,7 @@ def decrypt_trace(ct: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     *output* of s, so for a matching (pt, ct) pair the trace is byte-equal
     to the one from encrypt_trace. Entries are returned in encryption order.
     """
-    _check_block(ct, "ciphertext")
-    entries: list[TraceEntry] = []
-    pt = _inv_cipher(bytes(ct), ks, trace=entries)
-    return pt, tuple(reversed(entries))
+    return decrypt_traces([bytes(ct)], ks)
 
 
 def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool = False) -> bytes:

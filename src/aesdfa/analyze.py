@@ -1,7 +1,8 @@
 """Campaign statistics: which offsets hit which operations, and how hard.
 
 Built on the known-key localizer, so these tools apply to simulations and
-to post-recovery analysis of real captures. The product is an offset
+to post-recovery analysis of real captures. Records are localized in
+batches, one per plaintext (`localize_records`). The product is an offset
 profile: per glitch offset, the distribution of faulted operations and
 corrupted bit counts, and the rate of single-byte corruptions at a chosen
 target round. Choosing attack offsets is then an argmax over that rate.
@@ -15,13 +16,14 @@ from typing import Iterable, Sequence
 
 from .aes import AesOp, KeySchedule, StepId
 from .campaign import CiphertextRecord, quantize_offset
-from .localizer import localize
+from .localizer import LocalizationReport, localize_many
 
 __all__ = [
     "OffsetStats",
     "OffsetProfile",
     "NoViableOffset",
     "build_profile",
+    "localize_records",
     "recommend_offsets",
     "render_table",
 ]
@@ -70,19 +72,29 @@ class OffsetProfile:
         return counts
 
 
+def localize_records(ks: KeySchedule, records: Sequence[CiphertextRecord]) -> list[LocalizationReport | None]:
+    """Localize every record, one batch per plaintext; reports in record order."""
+    by_plaintext: dict[bytes, list[int]] = {}
+    for i, record in enumerate(records):
+        by_plaintext.setdefault(record.plaintext, []).append(i)
+    reports: list[LocalizationReport | None] = [None] * len(records)
+    for pt, indices in by_plaintext.items():
+        for i, report in zip(indices, localize_many(ks, pt, [records[i].ciphertext for i in indices])):
+            reports[i] = report
+    return reports
+
+
 def build_profile(ks: KeySchedule, records: Iterable[CiphertextRecord]) -> OffsetProfile:
     """Localize every glitched record and fold the results per offset.
 
     Records without an offset (the unglitched baseline) are ignored.
     """
+    glitched = [record for record in records if record.offset_n is not None]
     per_offset: dict = {}
-    for record in records:
-        if record.offset_n is None:
-            continue
+    for record, report in zip(glitched, localize_records(ks, glitched)):
         offset = quantize_offset(record.offset_n)
         stats = per_offset.setdefault(offset, OffsetStats())
         stats.samples += 1
-        report = localize(ks, record.plaintext, record.ciphertext)
         if report is None:
             continue
         stats.faulted += 1

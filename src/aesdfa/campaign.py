@@ -44,6 +44,8 @@ def quantize_offset(n: float) -> float:
     """Snap an offset to quarter-cycle resolution, rejecting anything else."""
     if not math.isfinite(n):
         raise ValueError(f"glitch offsets must be finite, got {n}")
+    if abs(n) >= 2.0**52:
+        return n  # a whole number, as every float this large is; 4n might overflow
     q = round(n * 4)
     if abs(n * 4 - q) > 1e-9:
         raise ValueError(f"glitch offsets have quarter-cycle resolution, got {n}")
@@ -79,7 +81,11 @@ class MaskRule:
 
 @dataclass(frozen=True)
 class OffsetBehavior:
-    """Weighted outcomes (step, mask rule) for one glitch offset."""
+    """Weighted outcomes (step, mask rule) for one glitch offset.
+
+    Weights are positive and finite, and so is their total, which
+    `random.choices` needs.
+    """
 
     entries: tuple[tuple[StepId, MaskRule, float], ...]
 
@@ -87,8 +93,10 @@ class OffsetBehavior:
         if not self.entries:
             raise ValueError("an offset needs at least one (step, mask rule) entry")
         for _, _, weight in self.entries:
-            if weight <= 0:
-                raise ValueError("entry weights must be positive")
+            if not (weight > 0 and math.isfinite(weight)):
+                raise ValueError(f"entry weights must be positive and finite, got {weight}")
+        if not math.isfinite(sum(weight for _, _, weight in self.entries)):
+            raise ValueError("entry weights must have a finite total")
 
     def draw(self, rng: random.Random) -> tuple[StepId, MaskRule]:
         steps = [(s, r) for s, r, _ in self.entries]
@@ -98,7 +106,12 @@ class OffsetBehavior:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything needed to reproduce one simulated campaign."""
+    """Everything needed to reproduce one simulated campaign.
+
+    `width` is the glitch width every glitched record carries as `m`. Like
+    the offsets it is an opaque label: any finite number, negative or zero
+    included; it does not change the simulated faults.
+    """
 
     key: bytes
     plaintext: bytes
@@ -123,13 +136,15 @@ class CampaignConfig:
         for n in self.offsets:
             if quantize_offset(n) != n:
                 raise ValueError(f"offset {n} is not in quarter-cycle form")
+        if not math.isfinite(self.width):
+            raise ValueError(f"width must be finite, got {self.width}")
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError("fault_rate must be within [0, 1]")
         if self.static_mask is not None:
             if len(self.static_mask) != 16:
-                raise ValueError("static mask must be 16 bytes")
+                raise ValueError("static_mask must be 16 bytes")
             if not any(self.static_mask):
-                raise ValueError("static mask must be nonzero")
+                raise ValueError("static_mask must be nonzero")
         n_rounds = ROUNDS_BY_KEY_LEN[len(self.key)]
         for behavior in self.offsets.values():
             for step, _, _ in behavior.entries:
@@ -168,6 +183,7 @@ class CiphertextRecord:
                 "faulted": self.faulted,
             },
             separators=(", ", ": "),
+            allow_nan=False,
         )
 
 
@@ -224,6 +240,16 @@ def write_records(records: Iterable[CiphertextRecord], fp: IO[str]) -> None:
 _RECORD_FIELDS = {"plaintext", "ciphertext", "n", "m", "slot", "faulted"}
 
 
+def _finite_number(value) -> bool:
+    # a JSON boolean parses as a Python int, so bool is ruled out first
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for any float
+        return False
+
+
 def read_records(fp: IO[str]) -> list[CiphertextRecord]:
     """Parse a JSON-lines campaign file, reporting bad lines by number."""
     records = []
@@ -239,12 +265,8 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
         missing = _RECORD_FIELDS - raw.keys()
         if missing:
             raise RecordFormatError(line_no, f"missing fields: {', '.join(sorted(missing))}")
-        # a JSON boolean parses as a Python int, so bool is ruled out first
         for name in ("n", "m"):
-            value = raw[name]
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if raw[name] is not None and not _finite_number(raw[name]):
                 raise RecordFormatError(line_no, f"{name} must be a finite number or null")
         if isinstance(raw["slot"], bool) or not isinstance(raw["slot"], int):
             raise RecordFormatError(line_no, "slot must be an integer")
@@ -298,6 +320,7 @@ def _parse_offset_entry(value: str, line_no: int) -> tuple[StepId, MaskRule, flo
             byte=int(fields["byte"]) if "byte" in fields else None,
         )
         weight = float(fields.get("weight", 1.0))
+        OffsetBehavior(((step, rule, weight),))  # the weight, checked at its own line
     except KeyError as err:
         raise ConfigError(line_no, f"offset entry needs {err.args[0]}=") from None
     except ValueError as err:
@@ -363,12 +386,17 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
     key = hex_scalar("key", (16, 24, 32))
     plaintext = hex_scalar("plaintext", (16,))
     n_rounds = ROUNDS_BY_KEY_LEN[len(key)]
-    for rows in entries.values():
+    offsets = {}
+    for n, rows in entries.items():
         for step, _, _, entry_line in rows:
             try:
                 step.validate(n_rounds)
             except ValueError as err:
                 raise ConfigError(entry_line, str(err)) from None
+        try:
+            offsets[n] = OffsetBehavior(tuple(row[:3] for row in rows))
+        except ValueError as err:  # only the weights' total is left to fail
+            raise ConfigError(rows[-1][3], str(err)) from None
     static_mask = hex_scalar("static_mask", (16,)) if "static_mask" in scalars else None
     static_step = None
     if ("static_round" in scalars) != ("static_op" in scalars):
@@ -383,10 +411,7 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
             key=key,
             plaintext=plaintext,
             samples=scalar("samples", int, None),
-            offsets={
-                n: OffsetBehavior(tuple(row[:3] for row in rows))
-                for n, rows in entries.items()
-            },
+            offsets=offsets,
             slot=scalar("slot", int, 0),
             width=scalar("width", float, 1.0),
             fault_rate=scalar("fault_rate", float, 1.0),
@@ -395,4 +420,7 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
             seed=scalar("seed", int, 0),
         )
     except ValueError as err:
-        raise ConfigError(0, str(err)) from None
+        # CampaignConfig names the field it rejects first, so a scalar's
+        # error points at that scalar's line
+        field = str(err).partition(" ")[0]
+        raise ConfigError(scalars[field][1] if field in scalars else 0, str(err)) from None

@@ -16,7 +16,7 @@ import time
 import click
 
 from .aes import AesOp, ROUNDS_BY_KEY_LEN, StepId, bytes_from_hex, encrypt_trace, expand_key
-from .analyze import NoViableOffset, build_profile, recommend_offsets, render_table
+from .analyze import NoViableOffset, build_profile, localize_records, recommend_offsets, render_table
 from .campaign import (
     ConfigError,
     RecordFormatError,
@@ -27,7 +27,6 @@ from .campaign import (
     write_records,
 )
 from .engine import artifacts_from_dict
-from .localizer import localize as localize_record
 from .orchestrator import DEFAULT_GROUPING_BUDGET, recover_key
 
 
@@ -115,8 +114,7 @@ def localize(records, key_hex):
         return "-" if value is None else value
 
     rows = []
-    for rec in recs:
-        report = localize_record(ks, rec.plaintext, rec.ciphertext)
+    for rec, report in zip(recs, localize_records(ks, recs)):
         if report is None:
             fault = ["0" * 32, "-", "-"]
         else:
@@ -250,8 +248,7 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
     if split_key_hex is not None:
         ks = expand_key(_parse_hex(split_key_hex, "--split-with-key"))
         pools = {ks.n_rounds - 2: [], ks.n_rounds - 3: []}
-        for rec in faulted:
-            report = localize_record(ks, rec.plaintext, rec.ciphertext)
+        for rec, report in zip(faulted, localize_records(ks, faulted)):
             if report and report.step.op is AesOp.MIX_COLUMNS and report.step.round in pools:
                 pools[report.step.round].append(rec.ciphertext)
         r2_cts, r3_cts = pools[ks.n_rounds - 2], pools[ks.n_rounds - 3]

@@ -16,17 +16,29 @@ which matches how injected faults are specified (mask applied to the state
 entering an operation).
 
 The clean forward trace comes from `encrypt_trace`, which keeps it per
-(plaintext, key schedule), so a campaign's clean side is computed once and
-each record costs one inverse trace.
+(plaintext, key schedule). `localize_many` localizes a campaign's records
+in one batch: one `decrypt_traces` call per chunk of `_CHUNK` distinct
+faulty ciphertexts, diffed against the clean trace repeated once per
+record. Each step's weights come from a popcount `translate` and shifted
+sums down to one byte per record, so a chunk costs a fixed number of
+big-int operations per step; each record's minimal steps then come from
+`bytes.index`, `rindex` and `count`. `localize` is the batch of one record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .aes import KeySchedule, StepId, decrypt_trace, encrypt_trace
+from .aes import KeySchedule, StepId, Trace, decrypt_traces, encrypt_trace, xor_bytes
 
-__all__ = ["LocalizationReport", "localize"]
+__all__ = ["LocalizationReport", "localize", "localize_many"]
+
+# records per batched inverse trace: bounds a batch's memory, its inverse
+# trace and its differences at about 230 KB each for AES-256, whatever the
+# campaign size
+_CHUNK = 256
+_POPCOUNT = bytes(i.bit_count() for i in range(256))
 
 
 @dataclass(frozen=True)
@@ -50,32 +62,56 @@ def localize(ks: KeySchedule, pt: bytes, faulty_ct: bytes) -> LocalizationReport
     are not one contiguous stretch of the dataflow (a contiguous stretch is
     the same fault seen across linear operations and resolves cleanly).
     """
-    clean_ct, forward = encrypt_trace(pt, ks)
-    if clean_ct == faulty_ct:
-        return None
-    _, backward = decrypt_trace(faulty_ct, ks)
+    return localize_many(ks, pt, [faulty_ct])[0]
 
-    # each step's difference as one 128-bit int, byte 0 most significant
-    diffs = [
-        int.from_bytes(f.state, "big") ^ int.from_bytes(b.state, "big")
-        for f, b in zip(forward, backward)
-    ]
-    weights = [d.bit_count() for d in diffs]
-    best = min(weights)
-    minima = [i for i, w in enumerate(weights) if w == best]
-    pick = minima[-1]  # latest in encryption order: the mask pushed up to the nonlinearity
-    contiguous = minima == list(range(minima[0], pick + 1))
+
+def localize_many(ks: KeySchedule, pt: bytes, cts: Sequence[bytes]) -> list[LocalizationReport | None]:
+    """`localize` for every ciphertext of one plaintext, in input order.
+
+    Distinct faulty ciphertexts go through the batched inverse trace in
+    chunks of `_CHUNK`; a repeated ciphertext shares its report.
+    """
+    clean_ct, forward = encrypt_trace(pt, ks)
+    cts = [bytes(ct) for ct in cts]
+    faulty = list(dict.fromkeys(ct for ct in cts if ct != clean_ct))
+    found = {}
+    for start in range(0, len(faulty), _CHUNK):
+        chunk = faulty[start:start + _CHUNK]
+        found.update(zip(chunk, _localize_chunk(ks, forward, chunk)))
+    return [found.get(ct) for ct in cts]
+
+
+def _localize_chunk(ks: KeySchedule, forward: Trace, cts: list[bytes]) -> list[LocalizationReport]:
+    n = len(cts)
+    _, backward = decrypt_traces(cts, ks)
+    diffs, weights = [], []
+    for f, b in zip(forward, backward):
+        diff = xor_bytes(b.state, f.state * n)
+        diffs.append(diff)
+        # per-byte popcounts summed over each 16-byte lane into its first
+        # byte; every partial sum stays below 256, so no byte carries
+        w = int.from_bytes(diff.translate(_POPCOUNT), "little")
+        for shift in (8, 16, 32, 64):
+            w += w >> shift
+        weights.append(w.to_bytes(16 * n, "little")[::16])
+    # step-major: record j's weight at step s is byte sn + j
+    weights = b"".join(weights)
 
     steps = [e.step for e in forward]
-    if pick + 1 < len(steps):
-        step = steps[pick + 1]
-    else:
-        # minimal at the final AddRoundKey output: the corruption is
-        # indistinguishable from one entering that last key addition
-        step = steps[pick]
-    return LocalizationReport(
-        step=step,
-        mask=diffs[pick].to_bytes(16, "big"),
-        hamming=best,
-        ambiguous=not contiguous,
-    )
+    reports = []
+    for j in range(n):
+        row = weights[j::n]
+        best = min(row)
+        first = row.index(best)
+        pick = row.rindex(best)  # latest in encryption order: the mask pushed up to the nonlinearity
+        reports.append(
+            LocalizationReport(
+                # minimal at the final AddRoundKey output, the corruption is
+                # indistinguishable from one entering that last key addition
+                step=steps[min(pick + 1, len(steps) - 1)],
+                mask=diffs[pick][16 * j:16 * j + 16],
+                hamming=best,
+                ambiguous=row.count(best) != pick - first + 1,
+            )
+        )
+    return reports

@@ -12,6 +12,7 @@ from aesdfa.aes import (
     bytes_from_hex,
     decrypt_block,
     decrypt_trace,
+    decrypt_traces,
     encrypt_block,
     encrypt_trace,
     expand_key,
@@ -172,6 +173,18 @@ class TestCipher:
         pt, dec = decrypt_trace(ct, ks)
         assert pt == PT
         assert enc == dec
+
+    def test_decrypt_traces_pack_each_ciphertexts_trace(self):
+        rng = random.Random(5)
+        for size in (16, 24, 32):
+            ks = expand_key(rng.randbytes(size))
+            cts = [rng.randbytes(16) for _ in range(5)]
+            pts, trace = decrypt_traces(cts, ks)
+            for j, ct in enumerate(cts):
+                pt, single = decrypt_trace(ct, ks)
+                assert pts[16 * j:16 * j + 16] == pt == decrypt_block(ct, ks)
+                assert [(e.step, e.state[16 * j:16 * j + 16]) for e in trace] == list(single)
+            assert decrypt_traces(cts[:1], ks) == decrypt_trace(cts[0], ks)
 
     def test_decrypt_vector_inverse(self):
         ks = expand_key(KEY256)

@@ -1,15 +1,19 @@
+import dataclasses
+
 import pytest
 
 from aesdfa import analyze
 from aesdfa.aes import AesOp, StepId, expand_key
 from aesdfa.analyze import (
     NoViableOffset,
+    OffsetStats,
     build_profile,
+    localize_records,
     recommend_offsets,
     render_table,
 )
-from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign
-from aesdfa.localizer import LocalizationReport
+from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign, quantize_offset
+from aesdfa.localizer import LocalizationReport, localize
 
 KEY = bytes(range(32))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -44,12 +48,13 @@ def test_profile_counts_match_records():
 def test_profile_counts_ambiguous_reports(monkeypatch):
     # the localizer never reports ambiguity on simulated single faults, so a
     # stub decides it from the ciphertext's first byte
-    def stub(ks, pt, ct):
-        if ct[0] % 3 == 0:
-            return None
-        return LocalizationReport(step(12), bytes(15) + b"\x01", 1, ambiguous=ct[0] % 3 == 1)
+    def stub(ks, pt, cts):
+        return [
+            None if ct[0] % 3 == 0 else LocalizationReport(step(12), bytes(15) + b"\x01", 1, ambiguous=ct[0] % 3 == 1)
+            for ct in cts
+        ]
 
-    monkeypatch.setattr(analyze, "localize", stub)
+    monkeypatch.setattr(analyze, "localize_many", stub)
     records = generate_campaign(sweep_config())
     profile = build_profile(KS, records)
     for offset, stats in profile.per_offset.items():
@@ -57,6 +62,53 @@ def test_profile_counts_ambiguous_reports(monkeypatch):
         assert stats.faulted == sum(1 for ct in cts if ct[0] % 3)
         assert stats.ambiguous == sum(1 for ct in cts if ct[0] % 3 == 1)
     assert sum(s.ambiguous for s in profile.per_offset.values()) > 0
+
+
+def interleaved_records():
+    # two plaintexts under one key, their records alternating, baselines included
+    first = generate_campaign(sweep_config(seed=1, samples=60))
+    other = generate_campaign(dataclasses.replace(sweep_config(seed=2, samples=45), plaintext=bytes(range(16))))
+    records = [rec for pair in zip(first, other) for rec in pair] + first[len(other):]
+    return records + records[7:19]  # and some records seen twice
+
+
+def fold_one_by_one(ks, records):
+    """build_profile as a fold over per-record `localize` calls."""
+    per_offset = {}
+    for record in records:
+        if record.offset_n is None:
+            continue
+        stats = per_offset.setdefault(quantize_offset(record.offset_n), OffsetStats())
+        stats.samples += 1
+        report = localize(ks, record.plaintext, record.ciphertext)
+        if report is None:
+            continue
+        stats.faulted += 1
+        stats.ambiguous += report.ambiguous
+        stats.step_counts[report.step] += 1
+        stats.bit_counts[report.hamming] += 1
+        if sum(1 for b in report.mask if b) == 1:
+            stats.single_byte_steps[report.step] += 1
+    return dict(sorted(per_offset.items()))
+
+
+def as_rows(per_offset):
+    # Counter contents in insertion order, which ties in most_common follow
+    return [
+        (n, s.samples, s.faulted, s.ambiguous, *(list(c.items()) for c in (s.step_counts, s.bit_counts, s.single_byte_steps)))
+        for n, s in per_offset.items()
+    ]
+
+
+def test_profile_of_interleaved_plaintexts_equals_per_record_fold():
+    records = interleaved_records()
+    assert len({rec.plaintext for rec in records}) == 2
+    assert as_rows(build_profile(KS, records).per_offset) == as_rows(fold_one_by_one(KS, records))
+
+
+def test_localize_records_keeps_record_order():
+    records = interleaved_records()
+    assert localize_records(KS, records) == [localize(KS, r.plaintext, r.ciphertext) for r in records]
 
 
 def test_profile_localizes_pinned_offsets():

@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
 from aesdfa.campaign import (
@@ -260,3 +262,109 @@ class TestParseConfig:
         text = CONFIG_TEXT.format(key=KEY.hex(), pt=PT.hex()) + "static_round = 12\n"
         with pytest.raises(ConfigError, match="together"):
             self.make(text)
+
+    # each case appends its lines to CONFIG_TEXT; the error names the last one
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("width = nan", "width must be finite, got nan"),
+            ("width = inf", "width must be finite, got inf"),
+            ("width = -inf", "width must be finite, got -inf"),
+            ("fault_rate = nan", "fault_rate must be within [0, 1]"),
+            ("fault_rate = 2", "fault_rate must be within [0, 1]"),
+            ("static_mask = " + "00" * 16, "static_mask must be nonzero"),
+            ("offset 273 = round=12 op=MixColumns weight=inf", "entry weights must be positive and finite, got inf"),
+            ("offset 273 = round=12 op=MixColumns weight=nan", "entry weights must be positive and finite, got nan"),
+            ("offset 273 = round=12 op=MixColumns weight=0", "entry weights must be positive and finite, got 0.0"),
+            (
+                "offset 273 = round=12 op=MixColumns weight=1e308\noffset 273 = round=11 op=MixColumns weight=1e308",
+                "entry weights must have a finite total",
+            ),
+            ("offset 1e309 = round=12 op=MixColumns", "glitch offsets must be finite, got inf"),
+        ],
+    )
+    def test_malformed_line_is_named(self, extra, message):
+        text = CONFIG_TEXT.format(key=KEY.hex(), pt=PT.hex()) + extra + "\n"
+        with pytest.raises(ConfigError) as err:
+            self.make(text)
+        assert str(err.value) == f"line {text.count(chr(10))}: {message}"
+
+    def test_any_finite_width_is_a_label(self):
+        cfg = self.make(CONFIG_TEXT.format(key=KEY.hex(), pt=PT.hex()) + "width = -1\n")
+        assert cfg.width == -1.0
+        assert {rec.width_m for rec in generate_campaign(cfg)[1:]} == {-1.0}
+
+
+class TestNonFiniteNumbersRejected:
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), float("-inf")])
+    def test_config_width(self, width):
+        with pytest.raises(ValueError, match="^width must be finite"):
+            base_config(width=width)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_offset_weight(self, weight):
+        with pytest.raises(ValueError, match="^entry weights must be positive and finite"):
+            OffsetBehavior(((StepId(12, AesOp.MIX_COLUMNS), MaskRule(1), weight),))
+
+    def test_record_json(self):
+        record = CiphertextRecord(PT, PT, 271.5, float("nan"), 0, True)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            record.to_json()
+
+    def test_huge_integer_offset_in_a_record(self):
+        line = generate_campaign(base_config(samples=1))[1].to_json()
+        huge = line.replace('"n": 271.5', '"n": 1' + "0" * 400)
+        with pytest.raises(RecordFormatError, match="^line 1: n must be a finite number or null$"):
+            read_records(io.StringIO(huge + "\n"))
+
+    def test_huge_offsets_quantize_to_themselves(self):
+        assert quantize_offset(1e308) == 1e308
+        assert quantize_offset(-(2.0**60)) == -(2.0**60)
+
+
+# number texts a hand-written config may hold: non-finite spellings, signed
+# zero, exponents and values past a float's range, among plain numbers
+_ODD_NUMBERS = ["nan", "NaN", "inf", "-inf", "Infinity", "-0", "-0.0", "+0", "1e308", "1e309", "-1.5e-7",
+                "5e-324", "2.5E3", "1" + "0" * 400, "0x10", "1_000", "", "1.", ".5"]
+
+
+def number_text(plain):
+    return st.one_of(plain.map(str), st.sampled_from(_ODD_NUMBERS))
+
+
+@st.composite
+def config_texts(draw):
+    lines = [
+        f"key = {draw(st.binary(min_size=16, max_size=16)).hex()}{draw(st.sampled_from(['', 'ab' * 8, 'cd' * 16]))}",
+        f"plaintext = {draw(st.binary(min_size=16, max_size=16)).hex()}",
+        # small, so that a run stays short: odd spellings of samples are ints or errors
+        f"samples = {draw(st.one_of(st.integers(0, 4).map(str), st.sampled_from(['-0', '+2', '1e1', 'nan', '-1'])))}",
+    ]
+    scalars = {
+        "seed": number_text(st.integers(-(2**70), 2**70)),
+        "slot": number_text(st.integers(-(2**40), 2**40)),
+        "width": number_text(st.floats()),
+        "fault_rate": number_text(st.floats(0, 1)),
+    }
+    for name, values in scalars.items():
+        if draw(st.booleans()):
+            lines.append(f"{name} = {draw(values)}")
+    for _ in range(draw(st.integers(1, 3))):
+        offset = draw(number_text(st.integers(-(2**20), 2**20).map(lambda q: q / 4)))
+        weight = draw(number_text(st.floats(min_value=0, exclude_min=True)))
+        op = draw(st.sampled_from(["MixColumns", "SubBytes", "ShiftRows", "AddRoundKey"]))
+        lines.append(f"offset {offset} = round={draw(st.integers(1, 10))} op={op} bits={draw(st.integers(1, 8))} weight={weight}")
+    return "\n".join(lines) + "\n"
+
+
+@given(config_texts())
+@settings(max_examples=200, deadline=None)
+def test_accepted_config_round_trips_through_records(text):
+    # parse_config accepts the text or raises ConfigError, nothing else; an
+    # accepted campaign reads back from its own file unchanged
+    try:
+        cfg = parse_config(io.StringIO(text))
+    except ConfigError:
+        return
+    records = generate_campaign(cfg)
+    assert read_records(io.StringIO(records_to_lines(records))) == records

@@ -14,7 +14,7 @@ import aesdfa.analyze
 from aesdfa.aes import encrypt_block, expand_key
 from aesdfa.cli import main
 from aesdfa.engine import KeyslotEngine, artifacts_to_dict, run_borrow_chain
-from aesdfa.localizer import localize
+from aesdfa.localizer import localize_many
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -57,6 +57,23 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", str(cfg)])
         assert result.exit_code == 2
         assert "line 7" in result.output
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("width = nan", "width must be finite, got nan"),
+            ("width = inf", "width must be finite, got inf"),
+            ("offset 273 = round=12 op=MixColumns weight=inf", "entry weights must be positive and finite, got inf"),
+            ("offset 273 = round=12 op=MixColumns weight=nan", "entry weights must be positive and finite, got nan"),
+        ],
+    )
+    def test_non_finite_config_number_exits_2(self, runner, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + line + "\n")
+        result = runner.invoke(main, ["simulate", str(cfg), "-o", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: line 7: {message}\n"
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_config_error_leaves_no_output(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -139,14 +156,14 @@ class TestHistogram:
         plain = runner.invoke(main, ["histogram", str(out), "--key", KEY.hex()])
         calls = []
 
-        def every_other_ambiguous(ks, pt, ct):
-            report = localize(ks, pt, ct)
-            calls.append(report)
-            if report is None or len(calls) % 2:
-                return report
-            return dataclasses.replace(report, ambiguous=True)
+        def every_other_ambiguous(ks, pt, cts):
+            marked = []
+            for report in localize_many(ks, pt, cts):
+                calls.append(report)
+                marked.append(report if report is None or len(calls) % 2 else dataclasses.replace(report, ambiguous=True))
+            return marked
 
-        monkeypatch.setattr(aesdfa.analyze, "localize", every_other_ambiguous)
+        monkeypatch.setattr(aesdfa.analyze, "localize_many", every_other_ambiguous)
         dest = tmp_path / "profile.json"
         result = runner.invoke(
             main, ["histogram", str(out), "--key", KEY.hex(), "--profile-json", str(dest)]

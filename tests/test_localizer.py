@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from aesdfa import aes
-from aesdfa.aes import AesOp, StepId, decrypt_trace, encrypt_block, expand_key
+from aesdfa import aes, localizer
+from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
 from aesdfa.campaign import CampaignConfig, MaskRule, OffsetBehavior, generate_campaign
 from aesdfa.faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
-from aesdfa.localizer import LocalizationReport, localize
+from aesdfa.localizer import LocalizationReport, localize, localize_many
 
 KS = expand_key(bytes(range(32)))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -107,20 +107,36 @@ def test_batch_all_clean():
     assert all(localize(KS, rec.plaintext, rec.ciphertext) is None for rec in records)
 
 
+def reference_inverse_trace(ct, ks):
+    """(step, state) pairs in encryption order, from the single inverse
+    operations one step at a time, without the batched inverse trace."""
+    inverse = {AesOp.SUB_BYTES: aes.inv_sub_bytes, AesOp.SHIFT_ROWS: aes.inv_shift_rows,
+               AesOp.MIX_COLUMNS: aes.inv_mix_columns}
+    steps = [e.step for e in aes.encrypt_trace(bytes(16), ks)[1]]
+    trace = []
+    state = ct
+    for step in reversed(steps):
+        trace.append((step, state))
+        op = inverse.get(step.op)
+        state = aes.xor_bytes(state, ks.round_keys[step.round]) if op is None else op(state)
+    return trace[::-1]
+
+
 def reference_localize(ks, pt, faulty_ct):
-    """The localizer byte by byte: per-byte XOR and popcount over the public
-    traces, the clean side decrypted from the ciphertext, so no cached trace."""
+    """The localizer byte by byte: per-byte XOR and popcount over inverse
+    traces from the single operations, the clean side decrypted from the
+    ciphertext, so no cached or batched trace."""
     clean_ct = encrypt_block(pt, ks)
     if clean_ct == faulty_ct:
         return None
-    _, forward = decrypt_trace(clean_ct, ks)
-    _, backward = decrypt_trace(faulty_ct, ks)
-    diffs = [bytes(x ^ y for x, y in zip(f.state, b.state)) for f, b in zip(forward, backward)]
+    forward = reference_inverse_trace(clean_ct, ks)
+    backward = reference_inverse_trace(faulty_ct, ks)
+    diffs = [bytes(x ^ y for x, y in zip(f, b)) for (_, f), (_, b) in zip(forward, backward)]
     weights = [sum(bin(byte).count("1") for byte in d) for d in diffs]
     best = min(weights)
     minima = [i for i, w in enumerate(weights) if w == best]
     pick = minima[-1]
-    steps = [e.step for e in forward]
+    steps = [step for step, _ in forward]
     return LocalizationReport(
         step=steps[min(pick + 1, len(steps) - 1)],
         mask=diffs[pick],
@@ -156,6 +172,35 @@ def test_matches_reference_on_mixed_campaigns(seed, key_len):
         assert localize(ks, rec.plaintext, rec.ciphertext) == reference_localize(ks, rec.plaintext, rec.ciphertext)
 
 
+@pytest.mark.parametrize("seed,key_len", [(5, 16), (6, 24), (7, 32)])
+def test_batch_matches_reference_on_mixed_campaigns(seed, key_len):
+    # clean records, round-0 faults and masks of up to 40 bits, in one batch
+    cfg = mixed_config(seed, key_len)
+    ks = expand_key(cfg.key)
+    records = generate_campaign(cfg)
+    cts = [rec.ciphertext for rec in records]
+    reports = localize_many(ks, cfg.plaintext, cts)
+    assert reports == [reference_localize(ks, cfg.plaintext, ct) for ct in cts]
+    assert None in reports[1:]
+    assert any(rec.faulted and rec.offset_n == 275.0 for rec in records)  # round 0
+    assert any(r is not None and r.hamming > 8 for r in reports)
+
+
+def test_chunks_do_not_change_reports(monkeypatch):
+    cfg = mixed_config(8, 32)
+    ks = expand_key(cfg.key)
+    cts = [rec.ciphertext for rec in generate_campaign(cfg)]
+    cts += cts[5:12]  # repeated ciphertexts share their report across chunks
+    whole = localize_many(ks, cfg.plaintext, cts)
+    monkeypatch.setattr(localizer, "_CHUNK", 3)
+    assert localize_many(ks, cfg.plaintext, cts) == whole
+    assert whole == [localize(ks, cfg.plaintext, ct) for ct in cts]
+
+
+def test_empty_batch():
+    assert localize_many(KS, PT, []) == []
+
+
 def test_interleaved_keys_and_plaintexts_match_fresh_reports():
     rng = random.Random(80)
     pairs = [(expand_key(rng.randbytes(32)), rng.randbytes(16)) for _ in range(aes._TRACE_CACHE_SIZE + 8)]
@@ -185,3 +230,8 @@ def test_wrong_length_blocks_keep_their_errors():
         localize(KS, PT[:15], encrypt_block(PT, KS))
     with pytest.raises(ValueError, match="^ciphertext must be 16 bytes, got 17$"):
         localize(KS, PT, encrypt_block(PT, KS) + b"x")
+    faulty = encrypt_with_faults(PT, KS, [FaultSpec(StepId(12, AesOp.MIX_COLUMNS), bit_mask(0, 0))])
+    with pytest.raises(ValueError, match="^plaintext must be 16 bytes, got 15$"):
+        localize_many(KS, PT[:15], [faulty])
+    with pytest.raises(ValueError, match="^ciphertext must be 16 bytes, got 15$"):
+        localize_many(KS, PT, [faulty, faulty[:15]])
