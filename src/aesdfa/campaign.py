@@ -268,6 +268,11 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
         for name in ("n", "m"):
             if raw[name] is not None and not _finite_number(raw[name]):
                 raise RecordFormatError(line_no, f"{name} must be a finite number or null")
+        if raw["n"] is not None:
+            try:
+                quantize_offset(float(raw["n"]))
+            except ValueError:
+                raise RecordFormatError(line_no, f"n must be on the quarter-cycle grid, got {raw['n']}") from None
         if isinstance(raw["slot"], bool) or not isinstance(raw["slot"], int):
             raise RecordFormatError(line_no, "slot must be an integer")
         if not isinstance(raw["faulted"], bool):

@@ -2,12 +2,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aesdfa import buster
-from aesdfa.aes import encrypt_block, expand_key
-from aesdfa.buster import ArtifactMismatch, _ecb_encrypt, _encrypt_block_under_keys, bust
+from aesdfa.aes import SBOX, encrypt_block, expand_key
+from aesdfa.buster import ArtifactMismatch, _ecb_encrypt, _key_matches, _sbox, bust
 from aesdfa.engine import BorrowArtifacts, KeyslotEngine, run_borrow_chain, slave_key_from_block
 
 FIXED = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -167,39 +167,66 @@ def test_throughput_is_reported():
     assert result.blocks_per_second > 0
 
 
-def test_vectorized_key_scan_matches_oracle():
-    rng = random.Random(20)
-    keys = np.array(
-        [[rng.randrange(256) for _ in range(32)] for _ in range(200)], dtype=np.uint8
-    )
-    block = bytes(rng.randrange(256) for _ in range(16))
-    cts = _encrypt_block_under_keys(keys, block)
-    for row, ct in zip(keys, cts):
-        assert bytes(ct) == _ecb_encrypt(bytes(row), block)
+def test_sbox_circuit_matches_table():
+    # all 256 inputs as the lanes of four words
+    lanes = np.arange(64, dtype=np.uint64)
+    planes = np.arange(8, dtype=np.uint64)[:, None, None]
+    values = np.arange(256, dtype=np.uint64).reshape(4, 64)
+    x = np.bitwise_or.reduce((values >> planes & 1) << lanes, axis=-1)[:, None]  # (8, 1, 4)
+    out = np.empty_like(x)
+    _sbox(x, out, np.empty(45 * x[0].size, dtype=np.uint64))
+    bits = (out[..., None] >> lanes & 1).reshape(8, 256)
+    assert (bits << planes[:, 0]).sum(axis=0).tolist() == list(SBOX)
 
 
 @given(
-    n=st.sampled_from([1, 3, 17, 255, 1031]),
-    layout=st.sampled_from(["random", "tail", "head"]),
-    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 4),
+    at=st.sampled_from(["head", "tail"]),
+    length=st.sampled_from([1, 3, 17, 255, 1031, 4099]),
+    start=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+    known=st.binary(min_size=16, max_size=16),
+    upper=st.one_of(st.just(bytes(16)), st.binary(min_size=16, max_size=16)),
     block=st.one_of(st.just(bytes(16)), st.binary(min_size=16, max_size=16)),
 )
+@example(chunk=2, at="head", length=17, start=0xF8, picks=[8, 7, 9], known=bytes(16), upper=bytes(16), block=bytes(16))
+@example(
+    chunk=4, at="tail", length=1031, start=0x00FFFE00, picks=[511, 512, 0], known=bytes(range(16)),
+    upper=bytes(16), block=bytes(16),
+)
 @settings(max_examples=40, deadline=None)
-def test_key_kernel_matches_openssl(n, layout, seed, block):
-    # "tail"/"head" keys look like slave-slot candidates: a zero upper half
-    # and one shared known part, with the chunk bytes varying at the head
-    # (tail borrow) or the tail (head borrow) of the written half
-    rng = np.random.default_rng(seed)
-    keys = rng.integers(0, 256, (n, 32), dtype=np.uint8)
-    if layout != "random":
-        chunk = int(rng.integers(1, 5))
-        known = slice(chunk, 16) if layout == "tail" else slice(0, 16 - chunk)
-        keys[:, known] = keys[0, known]
-        keys[:, 16:] = 0
-    cts = _encrypt_block_under_keys(keys, block)
-    assert cts.shape == (n, 16)
-    for row, ct in zip(keys, cts):
-        assert bytes(ct) == _ecb_encrypt(bytes(row), block)
+def test_key_kernel_matches_openssl(chunk, at, length, start, picks, known, upper, block):
+    # slave-stage keys: a known half with a 1-4 byte window at its head (tail
+    # borrow) or its tail (head borrow), after it a zero upper half or any
+    # other; ranges start and end off the 64-lane grid, and the examples
+    # cross a carry between chunk bytes (0x00ff -> 0x0100, 0x00ffffff ->
+    # 0x01000000). Each value of a short range is the only match for its own
+    # ciphertext, as are the edges and three values of a long one; the values
+    # just outside the range share its edge words but are not reported.
+    window = slice(0, chunk) if at == "head" else slice(16 - chunk, 16)
+    space = 1 << 8 * chunk
+    length = min(length, space)
+    start %= space - length + 1
+    values = range(start, start + length)
+    template = known + upper
+    edges = {v for v in (values[0] - 1, values[0], values[-1], values[-1] + 1) if 0 <= v < space}
+    tested = set(values) if length <= 17 else {values[p % length] for p in picks}
+    for value in edges | tested:
+        key = bytearray(template)
+        key[window] = value.to_bytes(chunk, "big")
+        expected = [value] if value in values else []
+        assert _key_matches(template, window, block, _ecb_encrypt(bytes(key), block), values) == expected
+
+
+def test_key_kernel_confirms_all_16_bytes():
+    # the kernel screens on the first 8 ciphertext bytes; a target that
+    # agrees only there names no key
+    template = slave_key_from_block(bytes(range(16)))
+    key = (4321).to_bytes(2, "big") + template[2:]
+    ct = _ecb_encrypt(key, bytes(16))
+    values = range(1 << 16)
+    assert _key_matches(template, slice(0, 2), bytes(16), ct, values) == [4321]
+    assert _key_matches(template, slice(0, 2), bytes(16), ct[:8] + bytes(8), values) == []
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -210,12 +237,17 @@ def test_workers_below_one_rejected(workers):
 
 class _InlinePool:
     """ProcessPoolExecutor stand-in that runs each block in this process,
-    as the reader asks for it."""
+    as the reader asks for it. It asserts that at most 2 blocks per worker
+    are submitted past the block being read, and records the most."""
 
     sizes: list = []
+    peaks: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        self.window = 2 * max_workers
+        self.outstanding = 0  # submitted, neither read nor cancelled
+        self.peaks.append(0)
 
     def __enter__(self):
         return self
@@ -223,8 +255,24 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return (fn(item) for item in iterable)
+    def submit(self, fn, item):
+        self.outstanding += 1
+        assert self.outstanding <= self.window
+        self.peaks[-1] = max(self.peaks[-1], self.outstanding)
+        return _LazyFuture(self, fn, item)
+
+
+class _LazyFuture:
+    def __init__(self, pool, fn, item):
+        self.pool, self.fn, self.item = pool, fn, item
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return self.fn(self.item)
+
+    def cancel(self):
+        self.pool.outstanding -= 1
+        return True
 
 
 @pytest.mark.parametrize("cpus, pool_size", [(None, None), (1, None), (2, 2), (3, 3)])
@@ -232,6 +280,7 @@ def test_workers_clamped_to_cpu_count(monkeypatch, cpus, pool_size):
     monkeypatch.setattr(buster.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(buster, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "peaks", [])
     hidden = bytes(random.Random(13).randrange(256) for _ in range(16))
     assert bust(synthetic_artifacts(hidden), workers=1 << 16).hidden == hidden
     # one pool of at most the CPU count serves all 8 stages; one worker needs none
@@ -246,6 +295,7 @@ def test_first_match_schedule_ignores_worker_count(monkeypatch):
     monkeypatch.setattr(buster, "_EXHAUSTIVE_LIMIT", 8)
     monkeypatch.setattr(buster.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(buster, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "peaks", [])
     scan = buster._scan
     read = []
 
@@ -277,6 +327,8 @@ def test_first_match_schedule_ignores_worker_count(monkeypatch):
             assert len(blocks) > 1
     assert outcomes == [(hidden, outcomes[0][1])] * 3
     assert outcomes[0][1] < 8 * (1 << 16)
+    # the pools of 2 and 3 workers filled their windows of 4 and 6 blocks
+    assert _InlinePool.peaks == [4, 6]
 
 
 @pytest.mark.slow

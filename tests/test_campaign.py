@@ -170,6 +170,9 @@ class TestRecordsIo:
             ("n", "271.5"),
             ("n", True),
             ("n", float("nan")),
+            ("n", 271.3),
+            ("n", 271.5001),
+            ("n", -0.1),
             ("m", "1.0"),
             ("m", float("inf")),
         ],
@@ -183,6 +186,12 @@ class TestRecordsIo:
         lines[1] = json.dumps(raw)
         with pytest.raises(RecordFormatError, match=f"line 2: {field} must be"):
             read_records(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("n", [2**52, 2**53 + 2, 1e300, -(2.0**60)])
+    def test_offsets_from_2_52_load_as_whole_numbers(self, n):
+        lines = records_to_lines(generate_campaign(base_config(samples=1)))
+        rec = read_records(io.StringIO(lines.replace('"n": 271.5', f'"n": {n!r}')))[1]
+        assert rec.offset_n == n
 
     def test_integer_offsets_load_as_floats(self):
         lines = records_to_lines(generate_campaign(base_config(samples=1)))

@@ -310,6 +310,20 @@ class TestAttack:
         assert result.exit_code == 2
         assert "line 3" in result.output
 
+    @pytest.mark.parametrize("command", ["histogram", "recommend", "localize", "attack"])
+    def test_off_grid_record_offset_exit_code(self, runner, tmp_path, command):
+        out = simulate_to(runner, tmp_path)
+        lines = out.read_text().splitlines()
+        raw = json.loads(lines[2])
+        raw["n"] = 271.3
+        lines[2] = json.dumps(raw)
+        out.write_text("\n".join(lines) + "\n")
+        flags = ["--r2-offset", "271.5", "--r3-offset", "272.25"] if command == "attack" else ["--key", KEY.hex()]
+        result = runner.invoke(main, [command, str(out), *flags])
+        assert result.exit_code == 2
+        assert "line 3: n must be on the quarter-cycle grid, got 271.3" in result.output
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("flag", ["--r2-offset", "--r3-offset"])
     @pytest.mark.parametrize("value", ["271.5001", "271.3", "inf", "nan"])
     def test_off_grid_offset_exit_code(self, runner, tmp_path, flag, value):
