@@ -15,10 +15,9 @@ initial AddRoundKey through the final AddRoundKey (56 entries for AES-256).
 The clean trace of the last few (plaintext, key schedule) pairs is cached:
 `encrypt_trace` returns it, and a faulted encryption resumes from it at the
 first tapped step instead of rerunning the rounds before the fault.
-`decrypt_traces` is the one inverse trace: it decrypts N ciphertexts held
-back to back in one buffer, with a fixed number of bytes and big-integer
-operations per step whatever N is, and `decrypt_trace` is its
-one-ciphertext case.
+There is one inverse core, a packed one: it runs N ciphertexts back to
+back in one buffer with a fixed number of operations per step, and serves
+`decrypt_block`, faulted decrypts and the localizer's `decrypt_traces`.
 
 Everything here is pure and value-based; results are safe to share across
 threads.
@@ -48,7 +47,6 @@ __all__ = [
     "encrypt_block",
     "decrypt_block",
     "encrypt_trace",
-    "decrypt_trace",
     "decrypt_traces",
     "cipher_with_taps",
     "peel_final_round",
@@ -360,16 +358,14 @@ def invert_key_schedule(key_size: int, trailing_keys: Sequence[bytes]) -> bytes:
 # state *entering* that operation; `trace` collects operation outputs.
 
 _FORWARD_OPS = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
-_INVERSE_OPS = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, AesOp.MIX_COLUMNS: inv_mix_columns}
-# per round count: every valid step in encryption order, each paired with
-# its single operation (None for either AddRoundKey flavour)
+# per round count: every valid step in encryption order; _FORWARD pairs
+# each with its single operation (None for either AddRoundKey flavour)
 _STEPS = {
     n: tuple(StepId(r, op) for r in range(n + 1) for op in AesOp
              if (r == 0) == (op is AesOp.ADD_ROUND_KEY_INITIAL) and (r < n or op is not AesOp.MIX_COLUMNS))
     for n in ROUNDS_BY_KEY_LEN.values()
 }
 _FORWARD = {n: tuple((step, _FORWARD_OPS.get(step.op)) for step in steps) for n, steps in _STEPS.items()}
-_INVERSE = {n: tuple((step, _INVERSE_OPS.get(step.op)) for step in reversed(steps)) for n, steps in _STEPS.items()}
 _STEP_INDEX = {n: {step: i for i, step in enumerate(steps)} for n, steps in _STEPS.items()}
 # clean traces kept for reuse: a campaign encrypts one plaintext many times
 _TRACE_CACHE_SIZE = 32
@@ -388,19 +384,6 @@ def _cipher(state: bytes, ks: KeySchedule, start: int = 0, taps=None, trace=None
     return state
 
 
-def _inv_cipher(state: bytes, ks: KeySchedule, taps=None) -> bytes:
-    rks = ks.round_keys
-    for step, op in _INVERSE[ks.n_rounds]:
-        # the state here is the step's output in encryption direction
-        state = xor_bytes(state, rks[step.round]) if op is None else op(state)
-        if taps:
-            # now at the state entering `step`, where a fault would land
-            mask = taps.get(step)
-            if mask is not None:
-                state = xor_bytes(state, mask)
-    return state
-
-
 @functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _clean_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     entries: list[TraceEntry] = []
@@ -408,24 +391,18 @@ def _clean_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     return ct, tuple(entries)
 
 
-# ---------------------------------------------------------------------------
-# The batched inverse trace. N states travel back to back in one bytes
-# object, state j in bytes 16j..16j+15, so each inverse step is a fixed
-# number of operations whatever N is: InvSubBytes and the InvMixColumns
-# products are `bytes.translate`, InvShiftRows and the byte rotation within
-# a column are masked shifts of the buffer read as one little-endian int,
-# and AddRoundKey XORs the round key repeated N times.
+# The inverse core runs N states back to back in one bytes object, state j
+# in bytes 16j..16j+15, with a fixed number of operations per step whatever
+# N is: InvSubBytes and the InvMixColumns products are `bytes.translate`,
+# InvShiftRows and the byte rotation within a column are masked shifts of
+# the buffer read as one little-endian int, and AddRoundKey and tap masks
+# XOR their 16 bytes repeated N times.
+
+# the x9, x13, x11 and x14 tables: bytes 1, 2, 3 and 0 of T_0[a] = (14a, 9a, 13a, 11a)
+_INV_MIX_PRODUCTS = tuple(bytes(t >> 8 * i & 0xFF for t in _INV_MIX_TABLES[0]) for i in (1, 2, 3, 0))
 
 
-@functools.cache
-def _inv_mix_products() -> tuple[bytes, ...]:
-    # the x9, x13, x11 and x14 tables; T_0[a] holds 14a, 9a, 13a and 11a in
-    # its bytes 0..3
-    t0 = b"".join(t.to_bytes(4, "little") for t in _INV_MIX_TABLES[0])
-    return t0[1::4], t0[2::4], t0[3::4], t0[0::4]
-
-
-# a few sizes: a campaign's full chunks, its last chunk, and single records
+# a few sizes: a campaign's full chunks, its last chunk, and single blocks
 @functools.lru_cache(maxsize=4)
 def _lane_masks(n: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
     """Masks over n packed states, each a 16-byte pattern repeated n times:
@@ -456,27 +433,17 @@ def _inv_mix_columns_packed(state: bytes, n: int) -> bytes:
     # M14 ^ rot(M11 ^ rot(M13 ^ rot(M9))), rot bringing row r + 1 to row r
     row0, low3, _ = _lane_masks(n)
     x = 0
-    for table in _inv_mix_products():
+    for table in _INV_MIX_PRODUCTS:
         x = int.from_bytes(state.translate(table), "little") ^ ((x >> 8) & low3 | (x & row0) << 24)
     return x.to_bytes(len(state), "little")
 
 
-def decrypt_traces(cts: Sequence[bytes], ks: KeySchedule) -> tuple[bytes, Trace]:
-    """Decrypt N ciphertexts at once: `decrypt_trace` for a whole batch.
-
-    Returns (plaintexts, trace) with every block-valued field holding the N
-    blocks back to back in input order: ciphertext j's state at a step is
-    bytes 16j..16j+15 of that entry. For one ciphertext the result is
-    `decrypt_trace`'s.
-    """
-    for ct in cts:
-        _check_block(ct, "ciphertext")
-    n = len(cts)
-    state = b"".join(cts)
-    entries = []
+def _inv_cipher(state: bytes, n: int, ks: KeySchedule, taps=None, trace=None) -> bytes:
+    rks = ks.round_keys
     for step in reversed(_STEPS[ks.n_rounds]):
         # the state here is the step's output in encryption direction
-        entries.append(TraceEntry(step, state))
+        if trace is not None:
+            trace.append(TraceEntry(step, state))
         if step.op is AesOp.SUB_BYTES:
             state = state.translate(_INV_SBOX_BYTES)
         elif step.op is AesOp.SHIFT_ROWS:
@@ -484,7 +451,27 @@ def decrypt_traces(cts: Sequence[bytes], ks: KeySchedule) -> tuple[bytes, Trace]
         elif step.op is AesOp.MIX_COLUMNS:
             state = _inv_mix_columns_packed(state, n)
         else:
-            state = xor_bytes(state, ks.round_keys[step.round] * n)
+            state = xor_bytes(state, rks[step.round] * n)
+        # now at the state entering `step`, where a fault would land
+        mask = taps.get(step) if taps else None
+        if mask is not None:
+            state = xor_bytes(state, mask * n)
+    return state
+
+
+def decrypt_traces(cts: Sequence[bytes], ks: KeySchedule) -> tuple[bytes, Trace]:
+    """Decrypt N ciphertexts and trace them, aligned to encryption StepIds.
+
+    Returns (plaintexts, trace), each block-valued field holding the N
+    blocks back to back in input order: lane j (bytes 16j..16j+15) of the
+    entry at step s is the state ciphertext j implies at the *output* of s,
+    byte-equal to encrypt_trace's for a matching (pt, ct) pair. It runs on
+    the one inverse core, which decrypt_block and faulted decrypts share.
+    """
+    for ct in cts:
+        _check_block(ct, "ciphertext")
+    entries: list[TraceEntry] = []
+    state = _inv_cipher(b"".join(cts), len(cts), ks, trace=entries)
     entries.reverse()
     return state, tuple(entries)
 
@@ -501,7 +488,7 @@ def encrypt_block(pt: bytes, ks: KeySchedule) -> bytes:
 
 def decrypt_block(ct: bytes, ks: KeySchedule) -> bytes:
     _check_block(ct, "ciphertext")
-    return _inv_cipher(bytes(ct), ks)
+    return _inv_cipher(bytes(ct), 1, ks)
 
 
 def encrypt_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
@@ -512,16 +499,6 @@ def encrypt_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     """
     _check_block(pt, "plaintext")
     return _clean_trace(bytes(pt), ks)
-
-
-def decrypt_trace(ct: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
-    """Decrypt and return (plaintext, trace aligned to encryption StepIds).
-
-    The entry at StepId s holds the state this ciphertext implies at the
-    *output* of s, so for a matching (pt, ct) pair the trace is byte-equal
-    to the one from encrypt_trace. Entries are returned in encryption order.
-    """
-    return decrypt_traces([bytes(ct)], ks)
 
 
 def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool = False) -> bytes:
@@ -537,7 +514,7 @@ def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool
     _check_block(block, "ciphertext" if inverse else "plaintext")
     block = bytes(block)
     if inverse:
-        return _inv_cipher(block, ks, taps)
+        return _inv_cipher(block, 1, ks, taps)
     index = _STEP_INDEX[ks.n_rounds]
     start = min(index[step] for step in taps) if taps else 0
     if start:

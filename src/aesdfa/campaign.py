@@ -32,7 +32,6 @@ __all__ = [
     "RecordFormatError",
     "ConfigError",
     "generate_campaign",
-    "write_records",
     "read_records",
     "records_to_lines",
     "quantize_offset",
@@ -231,10 +230,6 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
 
 def records_to_lines(records: Iterable[CiphertextRecord]) -> str:
     return "".join(rec.to_json() + "\n" for rec in records)
-
-
-def write_records(records: Iterable[CiphertextRecord], fp: IO[str]) -> None:
-    fp.write(records_to_lines(records))
 
 
 _RECORD_FIELDS = {"plaintext", "ciphertext", "n", "m", "slot", "faulted"}

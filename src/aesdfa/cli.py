@@ -24,10 +24,12 @@ from .campaign import (
     parse_config,
     quantize_offset,
     read_records,
-    write_records,
+    records_to_lines,
 )
 from .engine import artifacts_from_dict
-from .orchestrator import DEFAULT_GROUPING_BUDGET, recover_key
+from .orchestrator import DEFAULT_GROUPING_BUDGET, recover_key, verify_key
+
+_WRONG_KEY = "the supplied key does not reproduce the campaign's clean ciphertexts"
 
 
 def _fail(code: int, message: str):
@@ -80,7 +82,7 @@ def _keyed_records(key_hex, fp):
     records = _load_records(fp)
     for record in records:
         if not record.faulted and encrypt_trace(record.plaintext, ks)[0] != record.ciphertext:
-            _fail(2, "the supplied key does not reproduce the campaign's clean ciphertexts")
+            _fail(2, _WRONG_KEY)
     return ks, records
 
 
@@ -99,7 +101,7 @@ def simulate(config, output):
     except ConfigError as err:
         _fail(2, str(err))
     records = generate_campaign(cfg)
-    write_records(records, output)
+    output.write(records_to_lines(records))
     click.echo(f"wrote {len(records)} records", err=True)
 
 
@@ -246,7 +248,12 @@ def attack(records, r2_offset, r3_offset, split_key_hex, mode, key_size, plainte
     faulted = [rec for rec in recs if rec.faulted]
 
     if split_key_hex is not None:
-        ks = expand_key(_parse_hex(split_key_hex, "--split-with-key"))
+        split_key = _parse_hex(split_key_hex, "--split-with-key")
+        if len(split_key) * 8 != key_size:
+            _fail(2, f"--split-with-key holds a {len(split_key) * 8}-bit key, --key-size is {key_size}")
+        if not verify_key(split_key, pt, clean_ct):
+            _fail(2, _WRONG_KEY)
+        ks = expand_key(split_key)
         pools = {ks.n_rounds - 2: [], ks.n_rounds - 3: []}
         for rec, report in zip(faulted, localize_records(ks, faulted)):
             if report and report.step.op is AesOp.MIX_COLUMNS and report.step.round in pools:

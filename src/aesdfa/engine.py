@@ -103,6 +103,8 @@ class KeyslotEngine:
             raise ValueError(f"op must be 'encrypt' or 'decrypt', got {op!r}")
         if not 1 <= len(data) <= 16:
             raise ValueError("engine operations take 1..16 bytes")
+        if dest != "memory" and not isinstance(dest, int):
+            raise ValueError(f"dest must be 'memory' or a slot id, got {dest!r}")
         key, slot = self._resolve_key(key_source, key_size)
         if slot is not None and slot.master and dest == "memory":
             raise SlotError("master slots may only write to another slot")
@@ -117,8 +119,6 @@ class KeyslotEngine:
         self.last_output = out
         if dest == "memory":
             return out
-        if not isinstance(dest, int):
-            raise ValueError(f"dest must be 'memory' or a slot id, got {dest!r}")
         self.slots[dest] = KeySlot(key=slave_key_from_block(out), master=False, enabled=True)
         return None
 

@@ -260,6 +260,21 @@ class TestAttack:
         assert result.exit_code == 0, result.output
         assert json.loads(result.stdout)["recovered_key"] == KEY.hex()
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (KEY[:-1] + bytes([KEY[-1] ^ 1]), "the supplied key does not reproduce the campaign's clean ciphertexts"),
+            (KEY[:16], "--split-with-key holds a 128-bit key, --key-size is 256"),
+        ],
+        ids=["wrong-key", "wrong-size"],
+    )
+    def test_split_key_must_be_the_campaign_key(self, runner, tmp_path, key, message):
+        out = simulate_to(runner, tmp_path)
+        result = runner.invoke(main, ["attack", str(out), "--split-with-key", key.hex()])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines()[-1] == f"error: {message}"
+        assert result.stdout == ""
+
     def test_exhaustion_exit_code(self, runner, tmp_path):
         # every fault spreads over several bytes: no pair can solve
         cfg = CONFIG.replace("bits=1", "bits=5")

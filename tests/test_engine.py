@@ -62,6 +62,18 @@ def test_master_slot_writes_to_slot():
     assert eng.last_output == expected
 
 
+@pytest.mark.parametrize("source", [0x208, 0x100])
+@pytest.mark.parametrize("dest", ["disk", 2.5])
+def test_rejected_dest_leaves_the_register_unchanged(source, dest):
+    # the register feeds the next short input's borrow, master and plain slots alike
+    eng = engine_with_slots()
+    before = eng.execute("encrypt", FIXED, 128, bytes(range(16)))
+    with pytest.raises(ValueError, match="dest must be 'memory' or a slot id"):
+        eng.execute("encrypt", source, 256, bytes(16), dest=dest)
+    assert eng.last_output == before
+    assert set(eng.slots) == {0x208, 0x100}
+
+
 def test_disabled_and_missing_slots():
     eng = engine_with_slots()
     eng.slots[0x100].enabled = False

@@ -191,6 +191,8 @@ def test_faulted_cipher_matches_step_by_step_composition(run, inverse):
     if len({f.step for f in faults}) == len(faults):
         taps = {f.step: f.mask for f in faults}
         assert cipher_with_taps(block, ks, taps, inverse=inverse) == expected
+    # the forward per-block core undoes the packed inverse core, faults and all
+    assert encrypt_with_faults(decrypt_with_faults(block, ks, faults), ks, faults) == block
 
 
 def test_wrong_length_blocks_keep_their_errors():

@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Public although nothing outside its module uses it, and why.
 ALLOWED = {
-    "aes.Trace": "the type encrypt_trace and decrypt_trace return",
+    "aes.Trace": "the type encrypt_trace and decrypt_traces return",
     "aes.TraceEntry": "the entry type of a Trace",
     "aes.decrypt_block": "acceptance criterion 1 checks it against OpenSSL",
     "aes.sub_bytes": "a single cipher-core operation",
