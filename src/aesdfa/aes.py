@@ -5,9 +5,12 @@ the byte at row i % 4, column i // 4. Blocks cross the public API as
 ``bytes`` of length 16. Hex belongs to the file formats and flags at the
 edges of the toolkit; `bytes_from_hex` is its one decoder, and it accepts
 only lowercase digit pairs of an expected length.
-The cipher core keeps the state as ``bytes`` too: SubBytes is a
-``bytes.translate``, ShiftRows an index permutation, (Inv)MixColumns four
-256-entry column tables, and AddRoundKey and fault taps an integer XOR.
+The cipher keeps the state as ``bytes`` too: SubBytes is a
+``bytes.translate``, ShiftRows and the byte rotation within a column are
+masked shifts of the state read as one int, the MixColumns products are
+``bytes.translate`` tables, and AddRoundKey is an integer XOR. Each of these
+runs on N states packed back to back as readily as on one; the public
+single operations are the batch of one.
 
 Rounds are numbered 1..N for the cipher rounds and 0 for the initial
 round-key addition. Traces record one entry per operation *output*, from the
@@ -15,8 +18,11 @@ initial AddRoundKey through the final AddRoundKey (56 entries for AES-256).
 The clean trace of the last few (plaintext, key schedule) pairs is cached:
 `encrypt_trace` returns it, and a faulted encryption resumes from it at the
 first tapped step instead of rerunning the rounds before the fault.
-There is one inverse core, a packed one: it runs N ciphertexts back to
-back in one buffer with a fixed number of operations per step, and serves
+There are two cipher cores, one per direction, and both are packed: each
+runs N blocks back to back in one buffer with a fixed number of operations
+per step. The forward core serves `encrypt_block`, the clean trace and
+`cipher_with_taps`, whose masks may carry one fault pattern per lane, so a
+whole campaign's faulted runs encrypt as one batch. The inverse core serves
 `decrypt_block`, faulted decrypts and the localizer's `decrypt_traces`.
 
 Everything here is pure and value-based; results are safe to share across
@@ -26,7 +32,6 @@ threads.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -174,26 +179,82 @@ def gf_mul(a: int, b: int) -> int:
     return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
-def _column_tables(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # T_j[a] holds a's contribution through input row j to all four output
-    # rows of a column, row r at bits 8r; a column is T_0^T_1^T_2^T_3
-    # (the T-table form of Daemen & Rijmen, The Design of Rijndael, 2002)
-    prods = [[gf_mul(a, c) for c in coeffs] for a in range(256)]
-    return tuple(
-        tuple(sum(p[(j - r) % 4] << (8 * r) for r in range(4)) for p in prods)
-        for j in range(4)
-    )
-
-
-_MIX_TABLES = _column_tables((2, 3, 1, 1))
-_INV_MIX_TABLES = _column_tables((14, 11, 13, 9))
 _SBOX_BYTES = bytes(SBOX)
 _INV_SBOX_BYTES = bytes(INV_SBOX)
 
-# ShiftRows as a flat-index permutation: output i takes input _SR_PERM[i].
-_SR_PERM = tuple(4 * ((i // 4 + i % 4) % 4) + i % 4 for i in range(16))
-_shift = operator.itemgetter(*_SR_PERM)
-_inv_shift = operator.itemgetter(*(_SR_PERM.index(i) for i in range(16)))
+
+def _products(coeffs: tuple[int, ...]) -> tuple[bytes | None, ...]:
+    # one `translate` table per coefficient; None for the product by 1
+    return tuple(None if c == 1 else bytes(gf_mul(a, c) for a in range(256)) for c in coeffs)
+
+
+# (Inv)MixColumns' coefficients of a column's rows 3, 2, 1 and 0 in its
+# row 0, in the order `_mix_columns_packed` folds them in
+_MIX_PRODUCTS = _products((1, 1, 3, 2))
+_INV_MIX_PRODUCTS = _products((9, 13, 11, 14))
+
+
+# ---------------------------------------------------------------------------
+# Operations on N states packed back to back in one bytes object, state j
+# in bytes 16j..16j+15, with a fixed number of operations whatever N is:
+# ShiftRows and the byte rotation within a column are masked shifts of the
+# buffer read as one little-endian int, and the MixColumns products are
+# `bytes.translate`.
+
+
+class _LaneMasks(NamedTuple):
+    row0: int
+    low3: int  # rows 0..2
+    # per row r = 1..3: (bytes shifted left, by how much, bytes shifted
+    # right, by how much) to rotate row r by r columns
+    shift_rows: tuple[tuple[int, int, int, int], ...]
+    inv_shift_rows: tuple[tuple[int, int, int, int], ...]
+
+
+# a few sizes: single blocks, a campaign's batches and the localizer's chunks
+@functools.lru_cache(maxsize=4)
+def _lane_masks(n: int) -> _LaneMasks:
+    """Masks over n packed states, each a 16-byte pattern repeated n times."""
+
+    def repeat(keep) -> int:
+        return int.from_bytes(bytes(0xFF if keep(i // 4, i % 4) else 0 for i in range(16)) * n, "little")
+
+    def rotation(r: int, cols: int) -> tuple[int, int, int, int]:
+        # row r moves `cols` columns on: columns below 4 - cols move up by
+        # 32 * cols bits, the rest wrap round to the first columns
+        return (
+            repeat(lambda col, row: row == r and col < 4 - cols), 32 * cols,
+            repeat(lambda col, row: row == r and col >= 4 - cols), 128 - 32 * cols,
+        )
+
+    return _LaneMasks(
+        repeat(lambda col, row: row == 0),
+        repeat(lambda col, row: row < 3),
+        tuple(rotation(r, 4 - r) for r in (1, 2, 3)),
+        tuple(rotation(r, r) for r in (1, 2, 3)),
+    )
+
+
+def _shift_rows_packed(state: bytes, n: int, inverse: bool = False) -> bytes:
+    masks = _lane_masks(n)
+    x = int.from_bytes(state, "little")
+    out = x & masks.row0
+    for left, up, right, down in masks.inv_shift_rows if inverse else masks.shift_rows:
+        out |= (x & left) << up | (x & right) >> down
+    return out.to_bytes(len(state), "little")
+
+
+def _mix_columns_packed(state: bytes, n: int, products) -> bytes:
+    # output row r of a column is p_0 a_r ^ p_1 a_{r+1} ^ p_2 a_{r+2} ^ p_3 a_{r+3},
+    # computed as P_0 ^ rot(P_1 ^ rot(P_2 ^ rot(P_3))), rot bringing row
+    # r + 1 to row r (Horner's rule over the rows)
+    masks = _lane_masks(n)
+    row0, low3 = masks.row0, masks.low3
+    x = 0
+    for table in products:
+        product = int.from_bytes(state if table is None else state.translate(table), "little")
+        x = product ^ ((x >> 8) & low3 | (x & row0) << 24)
+    return x.to_bytes(len(state), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +270,19 @@ def inv_sub_bytes(block: bytes) -> bytes:
 
 
 def shift_rows(block: bytes) -> bytes:
-    return bytes(_shift(block))
+    return _shift_rows_packed(bytes(block), 1)
 
 
 def inv_shift_rows(block: bytes) -> bytes:
-    return bytes(_inv_shift(block))
-
-
-def _mix_with(s, tables) -> bytes:
-    t0, t1, t2, t3 = tables
-    return (
-        (t0[s[0]] ^ t1[s[1]] ^ t2[s[2]] ^ t3[s[3]])
-        | (t0[s[4]] ^ t1[s[5]] ^ t2[s[6]] ^ t3[s[7]]) << 32
-        | (t0[s[8]] ^ t1[s[9]] ^ t2[s[10]] ^ t3[s[11]]) << 64
-        | (t0[s[12]] ^ t1[s[13]] ^ t2[s[14]] ^ t3[s[15]]) << 96
-    ).to_bytes(16, "little")
+    return _shift_rows_packed(bytes(block), 1, inverse=True)
 
 
 def mix_columns(block: bytes) -> bytes:
-    return _mix_with(block, _MIX_TABLES)
+    return _mix_columns_packed(bytes(block), 1, _MIX_PRODUCTS)
 
 
 def inv_mix_columns(block: bytes) -> bytes:
-    return _mix_with(block, _INV_MIX_TABLES)
+    return _mix_columns_packed(bytes(block), 1, _INV_MIX_PRODUCTS)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -354,31 +405,37 @@ def invert_key_schedule(key_size: int, trailing_keys: Sequence[bytes]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Cipher cores. `taps` maps a StepId to a 16-byte XOR mask applied to the
-# state *entering* that operation; `trace` collects operation outputs.
+# Cipher cores. Both run N packed states through the operations above,
+# (Inv)SubBytes as one `bytes.translate` and AddRoundKey as an XOR with its
+# 16 bytes repeated N times. `taps` maps a StepId to a 16N-byte XOR mask,
+# lane j's in bytes 16j..16j+15, applied to the state *entering* that
+# operation; `trace` collects operation outputs.
 
-_FORWARD_OPS = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
-# per round count: every valid step in encryption order; _FORWARD pairs
-# each with its single operation (None for either AddRoundKey flavour)
+# per round count: every valid step in encryption order
 _STEPS = {
     n: tuple(StepId(r, op) for r in range(n + 1) for op in AesOp
              if (r == 0) == (op is AesOp.ADD_ROUND_KEY_INITIAL) and (r < n or op is not AesOp.MIX_COLUMNS))
     for n in ROUNDS_BY_KEY_LEN.values()
 }
-_FORWARD = {n: tuple((step, _FORWARD_OPS.get(step.op)) for step in steps) for n, steps in _STEPS.items()}
 _STEP_INDEX = {n: {step: i for i, step in enumerate(steps)} for n, steps in _STEPS.items()}
 # clean traces kept for reuse: a campaign encrypts one plaintext many times
 _TRACE_CACHE_SIZE = 32
 
 
-def _cipher(state: bytes, ks: KeySchedule, start: int = 0, taps=None, trace=None) -> bytes:
+def _cipher(state: bytes, n: int, ks: KeySchedule, start: int = 0, taps=None, trace=None) -> bytes:
     rks = ks.round_keys
-    for step, op in _FORWARD[ks.n_rounds][start:]:
-        if taps:
-            mask = taps.get(step)
-            if mask is not None:
-                state = xor_bytes(state, mask)
-        state = xor_bytes(state, rks[step.round]) if op is None else op(state)
+    for step in _STEPS[ks.n_rounds][start:]:
+        mask = taps.get(step) if taps else None
+        if mask is not None:
+            state = xor_bytes(state, mask)
+        if step.op is AesOp.SUB_BYTES:
+            state = state.translate(_SBOX_BYTES)
+        elif step.op is AesOp.SHIFT_ROWS:
+            state = _shift_rows_packed(state, n)
+        elif step.op is AesOp.MIX_COLUMNS:
+            state = _mix_columns_packed(state, n, _MIX_PRODUCTS)
+        else:
+            state = xor_bytes(state, rks[step.round] * n)
         if trace is not None:
             trace.append(TraceEntry(step, state))
     return state
@@ -387,55 +444,8 @@ def _cipher(state: bytes, ks: KeySchedule, start: int = 0, taps=None, trace=None
 @functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _clean_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     entries: list[TraceEntry] = []
-    ct = _cipher(pt, ks, trace=entries)
+    ct = _cipher(pt, 1, ks, trace=entries)
     return ct, tuple(entries)
-
-
-# The inverse core runs N states back to back in one bytes object, state j
-# in bytes 16j..16j+15, with a fixed number of operations per step whatever
-# N is: InvSubBytes and the InvMixColumns products are `bytes.translate`,
-# InvShiftRows and the byte rotation within a column are masked shifts of
-# the buffer read as one little-endian int, and AddRoundKey and tap masks
-# XOR their 16 bytes repeated N times.
-
-# the x9, x13, x11 and x14 tables: bytes 1, 2, 3 and 0 of T_0[a] = (14a, 9a, 13a, 11a)
-_INV_MIX_PRODUCTS = tuple(bytes(t >> 8 * i & 0xFF for t in _INV_MIX_TABLES[0]) for i in (1, 2, 3, 0))
-
-
-# a few sizes: a campaign's full chunks, its last chunk, and single blocks
-@functools.lru_cache(maxsize=4)
-def _lane_masks(n: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
-    """Masks over n packed states, each a 16-byte pattern repeated n times:
-    row 0, rows 0..2, and per row r = 1..3 the bytes InvShiftRows moves r
-    columns on and those it wraps round to the first columns."""
-
-    def repeat(keep) -> int:
-        return int.from_bytes(bytes(0xFF if keep(i // 4, i % 4) else 0 for i in range(16)) * n, "little")
-
-    shifts = tuple(
-        (r, repeat(lambda col, row: row == r and col < 4 - r), repeat(lambda col, row: row == r and col >= 4 - r))
-        for r in (1, 2, 3)
-    )
-    return repeat(lambda col, row: row == 0), repeat(lambda col, row: row < 3), shifts
-
-
-def _inv_shift_rows_packed(state: bytes, n: int) -> bytes:
-    row0, _, shifts = _lane_masks(n)
-    x = int.from_bytes(state, "little")
-    out = x & row0
-    for r, on, wrap in shifts:
-        out |= (x & on) << (32 * r) | (x & wrap) >> (128 - 32 * r)
-    return out.to_bytes(len(state), "little")
-
-
-def _inv_mix_columns_packed(state: bytes, n: int) -> bytes:
-    # 14a_r ^ 11a_{r+1} ^ 13a_{r+2} ^ 9a_{r+3} as
-    # M14 ^ rot(M11 ^ rot(M13 ^ rot(M9))), rot bringing row r + 1 to row r
-    row0, low3, _ = _lane_masks(n)
-    x = 0
-    for table in _INV_MIX_PRODUCTS:
-        x = int.from_bytes(state.translate(table), "little") ^ ((x >> 8) & low3 | (x & row0) << 24)
-    return x.to_bytes(len(state), "little")
 
 
 def _inv_cipher(state: bytes, n: int, ks: KeySchedule, taps=None, trace=None) -> bytes:
@@ -447,15 +457,15 @@ def _inv_cipher(state: bytes, n: int, ks: KeySchedule, taps=None, trace=None) ->
         if step.op is AesOp.SUB_BYTES:
             state = state.translate(_INV_SBOX_BYTES)
         elif step.op is AesOp.SHIFT_ROWS:
-            state = _inv_shift_rows_packed(state, n)
+            state = _shift_rows_packed(state, n, inverse=True)
         elif step.op is AesOp.MIX_COLUMNS:
-            state = _inv_mix_columns_packed(state, n)
+            state = _mix_columns_packed(state, n, _INV_MIX_PRODUCTS)
         else:
             state = xor_bytes(state, rks[step.round] * n)
         # now at the state entering `step`, where a fault would land
         mask = taps.get(step) if taps else None
         if mask is not None:
-            state = xor_bytes(state, mask * n)
+            state = xor_bytes(state, mask)
     return state
 
 
@@ -483,7 +493,7 @@ def _check_block(block: bytes, name: str) -> None:
 
 def encrypt_block(pt: bytes, ks: KeySchedule) -> bytes:
     _check_block(pt, "plaintext")
-    return _cipher(bytes(pt), ks)
+    return _cipher(bytes(pt), 1, ks)
 
 
 def decrypt_block(ct: bytes, ks: KeySchedule) -> bytes:
@@ -505,21 +515,30 @@ def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool
     """Encrypt `block`, or decrypt it with `inverse`, XORing each tap mask
     into the state entering its encryption-direction step.
 
-    Encryption resumes from the cached clean trace at the earliest tapped
-    step, so a fault late in the cipher costs only the rounds after it.
-    Raises ValueError for a tap at a step this cipher lacks.
+    A mask holds 16 bytes per lane: masks of 16n bytes run `block` in n
+    lanes at once, lane j faulted by bytes 16j..16j+15 of each mask, and
+    the result holds the n outputs back to back. Without taps there is one
+    lane. Encryption resumes from the cached clean trace at the earliest
+    tapped step, so a fault late in the cipher costs only the rounds after
+    it. Raises ValueError for a tap at a step this cipher lacks, and for
+    masks of differing lengths or of no whole number of lanes.
     """
     for step in taps:
         step.validate(ks.n_rounds)
     _check_block(block, "ciphertext" if inverse else "plaintext")
+    sizes = {len(mask) for mask in taps.values()} or {16}
+    size = sizes.pop()
+    if sizes or not size or size % 16:
+        raise ValueError("tap masks must all hold 16 bytes per lane, one length for all")
+    n = size // 16
     block = bytes(block)
     if inverse:
-        return _inv_cipher(block, 1, ks, taps)
+        return _inv_cipher(block * n, n, ks, taps)
     index = _STEP_INDEX[ks.n_rounds]
     start = min(index[step] for step in taps) if taps else 0
     if start:
         block = _clean_trace(block, ks)[1][start - 1].state
-    return _cipher(block, ks, start, taps)
+    return _cipher(block * n, n, ks, start, taps)
 
 
 def peel_final_round(ct: bytes, k_last: bytes) -> bytes:

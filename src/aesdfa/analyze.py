@@ -54,10 +54,6 @@ class OffsetStats:
 class OffsetProfile:
     per_offset: dict  # quantized offset -> OffsetStats
 
-    @property
-    def sample_count(self) -> int:
-        return sum(s.samples for s in self.per_offset.values())
-
     def op_histogram(self) -> Counter:
         counts: Counter = Counter()
         for stats in self.per_offset.values():
@@ -91,9 +87,14 @@ def build_profile(ks: KeySchedule, records: Iterable[CiphertextRecord]) -> Offse
     """
     glitched = [record for record in records if record.offset_n is not None]
     per_offset: dict = {}
+    by_label: dict = {}  # each distinct offset_n, quantized once
     for record, report in zip(glitched, localize_records(ks, glitched)):
-        offset = quantize_offset(record.offset_n)
-        stats = per_offset.setdefault(offset, OffsetStats())
+        stats = by_label.get(record.offset_n)
+        if stats is None:
+            offset = quantize_offset(record.offset_n)
+            if offset not in per_offset:
+                per_offset[offset] = OffsetStats()
+            stats = by_label[record.offset_n] = per_offset[offset]
         stats.samples += 1
         if report is None:
             continue
@@ -101,7 +102,7 @@ def build_profile(ks: KeySchedule, records: Iterable[CiphertextRecord]) -> Offse
         stats.ambiguous += report.ambiguous
         stats.step_counts[report.step] += 1
         stats.bit_counts[report.hamming] += 1
-        if sum(1 for b in report.mask if b) == 1:
+        if report.mask.count(0) == len(report.mask) - 1:  # one corrupted byte
             stats.single_byte_steps[report.step] += 1
     return OffsetProfile(per_offset=dict(sorted(per_offset.items())))
 

@@ -15,14 +15,24 @@ block once. The baseline (unglitched) record carries null n and m.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
-from .aes import ROUNDS_BY_KEY_LEN, AesOp, StepId, bytes_from_hex, encrypt_trace, expand_key
-from .faults import FaultSpec, encrypt_with_faults
+from .aes import (
+    ROUNDS_BY_KEY_LEN,
+    AesOp,
+    KeySchedule,
+    StepId,
+    bytes_from_hex,
+    cipher_with_taps,
+    encrypt_trace,
+    expand_key,
+    xor_bytes,
+)
 
 __all__ = [
     "MaskRule",
@@ -37,6 +47,12 @@ __all__ = [
     "quantize_offset",
     "parse_config",
 ]
+
+
+# glitched runs per packed encryption: bounds a batch's masks at 16 KB per
+# tapped step, whatever the campaign size
+_BATCH = 1024
+_NO_MASK = bytes(16)
 
 
 def quantize_offset(n: float) -> float:
@@ -97,10 +113,15 @@ class OffsetBehavior:
         if not math.isfinite(sum(weight for _, _, weight in self.entries)):
             raise ValueError("entry weights must have a finite total")
 
-    def draw(self, rng: random.Random) -> tuple[StepId, MaskRule]:
-        steps = [(s, r) for s, r, _ in self.entries]
-        weights = [w for _, _, w in self.entries]
-        return rng.choices(steps, weights=weights, k=1)[0]
+    def sampler(self) -> Callable[[random.Random], tuple[StepId, MaskRule]]:
+        """A function that draws one (step, mask rule) from an RNG.
+
+        The outcomes and cumulative weights are computed here once, not on
+        every draw; the behavior keeps no copy, so a config stays small.
+        """
+        outcomes = [(s, r) for s, r, _ in self.entries]
+        cum_weights = list(itertools.accumulate(w for _, _, w in self.entries))
+        return lambda rng: rng.choices(outcomes, cum_weights=cum_weights, k=1)[0]
 
 
 @dataclass(frozen=True)
@@ -205,27 +226,55 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     configured, lands in every glitched run at the drawn step (or at its
     own pinned step). The random draw sequence does not depend on the
     static mask, so campaigns differing only in it stay sample-aligned.
+    All draws come first; the faulted runs then encrypt as packed batches.
     """
-    rng = random.Random(cfg.seed)
+    draws = _draw_samples(cfg)
     ks = expand_key(cfg.key)
     clean_ct, _ = encrypt_trace(cfg.plaintext, ks)
-
+    faulty = iter(_run_samples(cfg.plaintext, ks, [taps for _, taps in draws if taps]))
     records = [CiphertextRecord(cfg.plaintext, clean_ct, None, None, cfg.slot, False)]
+    for offset, taps in draws:
+        ct = next(faulty) if taps else clean_ct
+        records.append(CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, bool(taps)))
+    return records
+
+
+def _draw_samples(cfg: CampaignConfig) -> list[tuple[float, dict[StepId, bytes]]]:
+    """Each glitched run's offset and taps (step -> 16-byte mask, the static
+    and dynamic masks XORed where they share a step; empty for a clean run),
+    in the campaign's one seeded draw order."""
+    rng = random.Random(cfg.seed)
     offsets = sorted(cfg.offsets)
+    samplers = {n: behavior.sampler() for n, behavior in cfg.offsets.items()}
+    draws = []
     for _ in range(cfg.samples):
         offset = offsets[0] if len(offsets) == 1 else rng.choice(offsets)
-        step, rule = cfg.offsets[offset].draw(rng)
-        fired = rng.random() < cfg.fault_rate
-        faults = []
+        step, rule = samplers[offset](rng)
+        taps = {}
         if cfg.static_mask is not None:
-            faults.append(FaultSpec(cfg.static_step or step, cfg.static_mask))
-        if fired:
-            faults.append(FaultSpec(step, rule.draw(rng)))
-        ct = encrypt_with_faults(cfg.plaintext, ks, faults) if faults else clean_ct
-        records.append(
-            CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, bool(faults))
-        )
-    return records
+            taps[cfg.static_step or step] = cfg.static_mask
+        if rng.random() < cfg.fault_rate:
+            mask = rule.draw(rng)
+            taps[step] = xor_bytes(taps[step], mask) if step in taps else mask
+        draws.append((offset, taps))
+    return draws
+
+
+def _run_samples(pt: bytes, ks: KeySchedule, runs: list[dict[StepId, bytes]]) -> list[bytes]:
+    """The faulty ciphertext of each run, `_BATCH` runs to one packed
+    encryption whose lane j carries run j's masks."""
+    cts = []
+    for start in range(0, len(runs), _BATCH):
+        batch = runs[start:start + _BATCH]
+        lanes: dict[StepId, list[bytes]] = {}
+        for j, taps in enumerate(batch):
+            for step, mask in taps.items():
+                if step not in lanes:
+                    lanes[step] = [_NO_MASK] * len(batch)
+                lanes[step][j] = mask
+        out = cipher_with_taps(pt, ks, {step: b"".join(masks) for step, masks in lanes.items()})
+        cts.extend(out[i:i + 16] for i in range(0, len(out), 16))
+    return cts
 
 
 def records_to_lines(records: Iterable[CiphertextRecord]) -> str:

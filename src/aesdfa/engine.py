@@ -71,6 +71,8 @@ class KeyslotEngine:
         key_len = key_size // 8
         if key_size % 8 or key_len not in ROUNDS_BY_KEY_LEN:
             raise ValueError(f"key_size must be 128, 192 or 256, got {key_size}")
+        if isinstance(key_source, bool):  # an int, but never a slot id
+            raise ValueError(f"key_source must be a slot id or a raw key, got {key_source!r}")
         if isinstance(key_source, int):
             slot = self.slots.get(key_source)
             if slot is None:
@@ -103,7 +105,7 @@ class KeyslotEngine:
             raise ValueError(f"op must be 'encrypt' or 'decrypt', got {op!r}")
         if not 1 <= len(data) <= 16:
             raise ValueError("engine operations take 1..16 bytes")
-        if dest != "memory" and not isinstance(dest, int):
+        if dest != "memory" and (not isinstance(dest, int) or isinstance(dest, bool)):
             raise ValueError(f"dest must be 'memory' or a slot id, got {dest!r}")
         key, slot = self._resolve_key(key_source, key_size)
         if slot is not None and slot.master and dest == "memory":

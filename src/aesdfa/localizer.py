@@ -21,8 +21,11 @@ in one batch: one `decrypt_traces` call per chunk of `_CHUNK` distinct
 faulty ciphertexts, diffed against the clean trace repeated once per
 record. Each step's weights come from a popcount `translate` and shifted
 sums down to one byte per record, so a chunk costs a fixed number of
-big-int operations per step; each record's minimal steps then come from
-`bytes.index`, `rindex` and `count`. `localize` is the batch of one record.
+big-int operations per step. They are counted at SubBytes, MixColumns and
+the initial key addition only: ShiftRows moves bytes, and AddRoundKey adds
+one key to both sides, so each keeps the weights of the step before. Each
+record's minimal steps then come from `bytes.index`, `rindex` and `count`.
+`localize` is the batch of one record.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .aes import KeySchedule, StepId, Trace, decrypt_traces, encrypt_trace, xor_bytes
+from .aes import AesOp, KeySchedule, StepId, Trace, decrypt_traces, encrypt_trace, xor_bytes
 
 __all__ = ["LocalizationReport", "localize", "localize_many"]
 
@@ -86,8 +89,17 @@ def _localize_chunk(ks: KeySchedule, forward: Trace, cts: list[bytes]) -> list[L
     _, backward = decrypt_traces(cts, ks)
     diffs, weights = [], []
     for f, b in zip(forward, backward):
+        if f.step.op is AesOp.ADD_ROUND_KEY:
+            # one key added to both sides: the difference of the step before
+            diffs.append(diffs[-1])
+            weights.append(weights[-1])
+            continue
         diff = xor_bytes(b.state, f.state * n)
         diffs.append(diff)
+        if f.step.op is AesOp.SHIFT_ROWS:
+            # a byte permutation: each lane keeps the weight of the step before
+            weights.append(weights[-1])
+            continue
         # per-byte popcounts summed over each 16-byte lane into its first
         # byte; every partial sum stays below 256, so no byte carries
         w = int.from_bytes(diff.translate(_POPCOUNT), "little")

@@ -1,8 +1,21 @@
-"""Shared builders for attack-stage test campaigns."""
+"""Shared builders for attack-stage test campaigns, and the faulted cipher
+composed one public single operation at a time."""
 
 import random
 
-from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
+from aesdfa.aes import (
+    _STEPS,
+    AesOp,
+    StepId,
+    encrypt_block,
+    expand_key,
+    inv_mix_columns,
+    inv_shift_rows,
+    inv_sub_bytes,
+    mix_columns,
+    shift_rows,
+    sub_bytes,
+)
 from aesdfa.faults import FaultSpec, encrypt_with_faults
 
 
@@ -64,3 +77,30 @@ def _with_static(faults, round_, static_mask):
         return faults
     static = FaultSpec(StepId(round_, AesOp.MIX_COLUMNS), static_mask)
     return [static, *faults]
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+_FORWARD = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
+_INVERSE = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, AesOp.MIX_COLUMNS: inv_mix_columns}
+
+
+def composed_with_faults(block, ks, faults, inverse=False):
+    """The cipher run one public single operation at a time from `block`,
+    each fault's mask XORed, one by one, into the state entering its step."""
+    steps = _STEPS[ks.n_rounds]
+    ops = _INVERSE if inverse else _FORWARD
+    state = block
+    for step in reversed(steps) if inverse else steps:
+        masks = [f.mask for f in faults if f.step == step]
+        if not inverse:
+            for mask in masks:
+                state = _xor(state, mask)
+        op = ops.get(step.op)
+        state = _xor(state, ks.round_keys[step.round]) if op is None else op(state)
+        if inverse:
+            for mask in masks:
+                state = _xor(state, mask)
+    return state

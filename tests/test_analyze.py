@@ -39,7 +39,7 @@ def sweep_config(seed=0, samples=150):
 def test_profile_counts_match_records():
     records = generate_campaign(sweep_config())
     profile = build_profile(KS, records)
-    assert profile.sample_count == 150  # baseline not profiled
+    assert sum(s.samples for s in profile.per_offset.values()) == 150  # baseline not profiled
     assert sum(profile.bit_histogram().values()) == sum(
         s.faulted for s in profile.per_offset.values()
     )
@@ -104,6 +104,19 @@ def test_profile_of_interleaved_plaintexts_equals_per_record_fold():
     records = interleaved_records()
     assert len({rec.plaintext for rec in records}) == 2
     assert as_rows(build_profile(KS, records).per_offset) == as_rows(fold_one_by_one(KS, records))
+
+
+def test_labels_that_quantize_alike_share_one_offset():
+    # build_profile quantizes each distinct label once; labels equal after
+    # quantizing still fold into one offset, in first-seen order
+    labels = [271.5, 271.5 + 1e-12, 0.0, -0.0, 271.5]
+    records = [
+        dataclasses.replace(rec, offset_n=labels[i % len(labels)])
+        for i, rec in enumerate(generate_campaign(sweep_config(seed=3, samples=40))[1:])
+    ]
+    per_offset = build_profile(KS, records).per_offset
+    assert list(per_offset) == [0.0, 271.5]
+    assert as_rows(per_offset) == as_rows(fold_one_by_one(KS, records))
 
 
 def test_localize_records_keeps_record_order():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aesdfa.aes import AesOp, StepId, encrypt_block, expand_key
+from aesdfa import campaign
+from aesdfa.aes import _STEPS, ROUNDS_BY_KEY_LEN, AesOp, StepId, encrypt_block, expand_key, xor_bytes
 from aesdfa.campaign import (
     CampaignConfig,
     CiphertextRecord,
@@ -19,6 +21,8 @@ from aesdfa.campaign import (
     read_records,
     records_to_lines,
 )
+from aesdfa.faults import FaultSpec
+from simhelpers import composed_with_faults
 
 KEY = bytes(range(32))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -95,6 +99,146 @@ class TestGenerateCampaign:
                 report = localize(ks, rec.plaintext, rec.ciphertext)
                 nonzero = [i for i, b in enumerate(report.mask) if b]
                 assert nonzero == [4]
+
+
+def reference_campaign(cfg):
+    """The campaign one sample at a time: the seeded draws in their
+    documented order (offset, weighted entry, whether the dynamic fault
+    fires, its mask), each glitched run composed step by step from the
+    public single operations. Returns (records, each run's fault list)."""
+    rng = random.Random(cfg.seed)
+    ks = expand_key(cfg.key)
+    clean = composed_with_faults(cfg.plaintext, ks, [])
+    records = [CiphertextRecord(cfg.plaintext, clean, None, None, cfg.slot, False)]
+    runs = []
+    offsets = sorted(cfg.offsets)
+    for _ in range(cfg.samples):
+        offset = offsets[0] if len(offsets) == 1 else rng.choice(offsets)
+        entries = cfg.offsets[offset].entries
+        step, rule = rng.choices([(s, r) for s, r, _ in entries], weights=[w for _, _, w in entries])[0]
+        faults = []
+        if cfg.static_mask is not None:
+            faults.append(FaultSpec(cfg.static_step or step, cfg.static_mask))
+        if rng.random() < cfg.fault_rate:
+            faults.append(FaultSpec(step, rule.draw(rng)))
+        runs.append(faults)
+        ct = composed_with_faults(cfg.plaintext, ks, faults)
+        records.append(CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, bool(faults)))
+    return records, runs
+
+
+def merged(faults):
+    taps = {}
+    for fault in faults:
+        taps[fault.step] = xor_bytes(taps[fault.step], fault.mask) if fault.step in taps else fault.mask
+    return taps
+
+
+mask_rules = st.one_of(
+    st.builds(MaskRule, bits=st.integers(1, 8), byte=st.integers(0, 15)),
+    st.builds(MaskRule, bits=st.integers(1, 128)),
+)
+
+
+@st.composite
+def placed_configs(draw, key_len, placement):
+    """A config whose dynamic steps lie, against the static mask's step,
+    as `placement` says: no static mask ("none"), the static mask at the
+    drawn step ("drawn"), or pinned "earlier", "later" or "equal"."""
+    steps = _STEPS[ROUNDS_BY_KEY_LEN[key_len]]
+    pivot = draw(st.integers(1, len(steps) - 2))
+    pool = {"earlier": steps[pivot + 1:], "later": steps[:pivot], "equal": steps[pivot:pivot + 1]}.get(placement, steps)
+    entry = st.tuples(st.sampled_from(pool), mask_rules, st.sampled_from([0.5, 1.0, 2.5]))
+    labels = draw(st.lists(st.integers(1080, 1100), min_size=1, max_size=3, unique=True))
+    offsets = {n / 4: OffsetBehavior(tuple(draw(st.lists(entry, min_size=1, max_size=3)))) for n in labels}
+    static = placement != "none"
+    return CampaignConfig(
+        key=draw(st.binary(min_size=key_len, max_size=key_len)),
+        plaintext=draw(st.binary(min_size=16, max_size=16)),
+        samples=draw(st.integers(0, 40)),
+        offsets=offsets,
+        slot=draw(st.integers(0, 7)),
+        width=draw(st.sampled_from([1.0, -0.25])),
+        fault_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        static_mask=draw(st.binary(min_size=16, max_size=16).filter(any)) if static else None,
+        static_step=steps[pivot] if placement in ("earlier", "later", "equal") else None,
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@pytest.mark.parametrize("placement", ["none", "drawn", "earlier", "later", "equal"])
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_campaign_matches_per_sample_reference(key_len, placement, data):
+    cfg = data.draw(placed_configs(key_len, placement))
+    records, runs = reference_campaign(cfg)
+    assert [(offset, taps) for offset, taps in campaign._draw_samples(cfg)] == [
+        (record.offset_n, merged(faults)) for record, faults in zip(records[1:], runs)
+    ]
+    assert generate_campaign(cfg) == records
+
+
+def test_batch_boundaries_do_not_change_records(monkeypatch):
+    cfg = base_config(samples=40, fault_rate=0.5, static_mask=bytes([0, 0x80] + [0] * 14))
+    whole = generate_campaign(cfg)
+    monkeypatch.setattr(campaign, "_BATCH", 3)
+    assert generate_campaign(cfg) == whole == reference_campaign(cfg)[0]
+
+
+PINNED_CONFIGS = {
+    # the README's example
+    "readme": (
+        """key = 000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f
+plaintext = 00112233445566778899aabbccddeeff
+samples = 24
+seed = 4
+offset 271.5  = round=12 op=MixColumns bits=1
+offset 272.25 = round=11 op=MixColumns bits=1
+""",
+        "43923d1951a78a4bc67743486f895c20a03e3aab3409f835691c896f6d009242",
+    ),
+    # the sweep config the benchmark's CLI runs simulate
+    "sweep": (
+        """key = 43d14dab2117ca3bfbead4f1a3e550945590d5641ae90de66808294173a3942a
+plaintext = 0431a383d5aba452e2f19c6f88f6138f
+samples = 250
+seed = 234721185
+offset 270.75 = round=12 op=MixColumns bits=1
+offset 271.5 = round=12 op=SubBytes bits=1
+offset 272.0 = round=13 op=MixColumns bits=1
+offset 272.25 = round=10 op=MixColumns bits=1
+offset 273.0 = round=11 op=MixColumns bits=1
+""",
+        "c50471ab001aa1aef420485d7269f87372900591f3eada801f04f143ca42b55e",
+    ),
+    # a pinned static mask before, at and after the drawn steps, mixtures
+    # of byte-pinned and free masks, and clean runs
+    "static": (
+        """key = 000102030405060708090a0b0c0d0e0f1011121314151617
+plaintext = 00112233445566778899aabbccddeeff
+samples = 120
+seed = 11
+fault_rate = 0.5
+static_mask = 00800000000000000000000000000400
+static_round = 10
+static_op = MixColumns
+offset 271.5 = round=10 op=MixColumns bits=1 byte=3 weight=2
+offset 271.5 = round=9 op=SubBytes bits=4
+offset 272.25 = round=11 op=ShiftRows bits=2 byte=7
+offset 272.25 = round=12 op=AddRoundKey bits=40 weight=0.5
+""",
+        "48f591e90997259f8a1aa4a05ca133102e695accbe9da8577cb2b3e75595cf0d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_campaign_files_keep_their_bytes(name):
+    # digests of records_to_lines, taken before campaigns ran as packed batches
+    text, digest = PINNED_CONFIGS[name]
+    lines = records_to_lines(generate_campaign(parse_config(io.StringIO(text))))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 class TestMaskRule:

@@ -63,7 +63,7 @@ def test_master_slot_writes_to_slot():
 
 
 @pytest.mark.parametrize("source", [0x208, 0x100])
-@pytest.mark.parametrize("dest", ["disk", 2.5])
+@pytest.mark.parametrize("dest", ["disk", 2.5, True, False])
 def test_rejected_dest_leaves_the_register_unchanged(source, dest):
     # the register feeds the next short input's borrow, master and plain slots alike
     eng = engine_with_slots()
@@ -72,6 +72,18 @@ def test_rejected_dest_leaves_the_register_unchanged(source, dest):
         eng.execute("encrypt", source, 256, bytes(16), dest=dest)
     assert eng.last_output == before
     assert set(eng.slots) == {0x208, 0x100}
+
+
+@pytest.mark.parametrize("source", [True, False])
+def test_boolean_key_source_is_not_a_slot_id(source):
+    # True == 1 as a dict key: without the check, slot 1 would encrypt
+    eng = engine_with_slots()
+    eng.add_slot(1, bytes(range(32)))
+    eng.add_slot(0, bytes(32))
+    before = eng.execute("encrypt", FIXED, 128, bytes(range(16)))
+    with pytest.raises(ValueError, match=f"^key_source must be a slot id or a raw key, got {source}$"):
+        eng.execute("encrypt", source, 256, bytes(16))
+    assert eng.last_output == before
 
 
 def test_disabled_and_missing_slots():

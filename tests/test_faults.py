@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aesdfa import aes
 from aesdfa.aes import (
     _STEPS,
     AesOp,
@@ -12,15 +13,11 @@ from aesdfa.aes import (
     encrypt_block,
     encrypt_trace,
     expand_key,
-    inv_mix_columns,
-    inv_shift_rows,
-    inv_sub_bytes,
-    mix_columns,
-    shift_rows,
-    sub_bytes,
     xor_bytes,
 )
 from aesdfa.faults import FaultSpec, decrypt_with_faults, encrypt_with_faults
+from reference import oracle_decrypt, oracle_encrypt
+from simhelpers import composed_with_faults
 
 KS = expand_key(bytes(range(32)))
 PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -140,33 +137,6 @@ def test_decrypt_direction_consistency():
         assert encrypt_block(faulty_pt, KS) == encrypt_with_faults(pt, KS, [fault])
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-_FORWARD = {AesOp.SUB_BYTES: sub_bytes, AesOp.SHIFT_ROWS: shift_rows, AesOp.MIX_COLUMNS: mix_columns}
-_INVERSE = {AesOp.SUB_BYTES: inv_sub_bytes, AesOp.SHIFT_ROWS: inv_shift_rows, AesOp.MIX_COLUMNS: inv_mix_columns}
-
-
-def composed_with_faults(block, ks, faults, inverse):
-    """The cipher run one public single operation at a time from `block`,
-    each fault's mask XORed, one by one, into the state entering its step."""
-    steps = _STEPS[ks.n_rounds]
-    ops = _INVERSE if inverse else _FORWARD
-    state = block
-    for step in reversed(steps) if inverse else steps:
-        masks = [f.mask for f in faults if f.step == step]
-        if not inverse:
-            for mask in masks:
-                state = _xor(state, mask)
-        op = ops.get(step.op)
-        state = _xor(state, ks.round_keys[step.round]) if op is None else op(state)
-        if inverse:
-            for mask in masks:
-                state = _xor(state, mask)
-    return state
-
-
 @st.composite
 def faulted_runs(draw):
     ks = expand_key(draw(st.binary(min_size=16, max_size=16)) + bytes(draw(st.sampled_from([0, 8, 16]))))
@@ -191,8 +161,59 @@ def test_faulted_cipher_matches_step_by_step_composition(run, inverse):
     if len({f.step for f in faults}) == len(faults):
         taps = {f.step: f.mask for f in faults}
         assert cipher_with_taps(block, ks, taps, inverse=inverse) == expected
-    # the forward per-block core undoes the packed inverse core, faults and all
+    # the packed forward core undoes the packed inverse core, faults and all
     assert encrypt_with_faults(decrypt_with_faults(block, ks, faults), ks, faults) == block
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 17, 256])
+@pytest.mark.parametrize("size", [16, 24, 32])
+def test_packed_cores_match_openssl_per_lane(lanes, size):
+    rng = random.Random(lanes * size)
+    key = rng.randbytes(size)
+    ks = expand_key(key)
+    blocks = [rng.randbytes(16) for _ in range(lanes)]
+    cts = aes._cipher(b"".join(blocks), lanes, ks)
+    pts = aes._inv_cipher(b"".join(blocks), lanes, ks)
+    for j, block in enumerate(blocks):
+        assert cts[16 * j:16 * j + 16] == oracle_encrypt(key, block)
+        assert pts[16 * j:16 * j + 16] == oracle_decrypt(key, block)
+
+
+@st.composite
+def lane_runs(draw):
+    """A key, a block and a few fault lists over one small step pool, the
+    first list never empty, for the lanes of one packed run to choose from."""
+    ks, block, faults = draw(faulted_runs())
+    pool = sorted({f.step for f in faults})
+    mask = st.binary(min_size=16, max_size=16).filter(any)
+    others = draw(st.lists(st.lists(st.builds(FaultSpec, st.sampled_from(pool), mask), max_size=3), max_size=3))
+    return ks, block, [faults, *others]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 17, 256])
+@given(run=lane_runs(), inverse=st.booleans(), rng=st.randoms(use_true_random=False))
+@settings(max_examples=15, deadline=None)
+def test_lane_taps_match_step_by_step_composition(lanes, run, inverse, rng):
+    # lane 0 runs the first fault list, every other lane a random one of them
+    ks, block, patterns = run
+    chosen = [0] + [rng.randrange(len(patterns)) for _ in range(lanes - 1)]
+    taps: dict = {}
+    for j, index in enumerate(chosen):
+        for fault in patterns[index]:
+            buf = taps.setdefault(fault.step, bytearray(16 * lanes))
+            buf[16 * j:16 * j + 16] = xor_bytes(bytes(buf[16 * j:16 * j + 16]), fault.mask)
+    out = cipher_with_taps(block, ks, {step: bytes(buf) for step, buf in taps.items()}, inverse=inverse)
+    expected = [composed_with_faults(block, ks, faults, inverse) for faults in patterns]
+    assert [out[16 * j:16 * j + 16] for j in range(lanes)] == [expected[index] for index in chosen]
+
+
+def test_tap_masks_must_share_a_whole_number_of_lanes():
+    steps = (StepId(12, AesOp.MIX_COLUMNS), StepId(13, AesOp.SUB_BYTES))
+    for lengths in ((16, 32), (15,), (40,), (0,), (48, 32)):
+        taps = {step: bytes([1]) * size for step, size in zip(steps, lengths)}
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="^tap masks must all hold 16 bytes per lane, one length for all$"):
+                cipher_with_taps(PT, KS, taps, inverse=inverse)
 
 
 def test_wrong_length_blocks_keep_their_errors():

@@ -186,6 +186,54 @@ def test_batch_matches_reference_on_mixed_campaigns(seed, key_len):
     assert any(r is not None and r.hamming > 8 for r in reports)
 
 
+def popcount_reference(ks, pt, cts):
+    """localize_many with every step's weight counted bit by bit over
+    encrypt_trace and decrypt_traces, none taken over from the step before."""
+    clean_ct, forward = aes.encrypt_trace(pt, ks)
+    _, backward = aes.decrypt_traces(cts, ks)
+    steps = [e.step for e in forward]
+    reports = []
+    for j, ct in enumerate(cts):
+        if ct == clean_ct:
+            reports.append(None)
+            continue
+        diffs = [bytes(x ^ y for x, y in zip(f.state, b.state[16 * j:16 * j + 16])) for f, b in zip(forward, backward)]
+        weights = [sum(bin(byte).count("1") for byte in d) for d in diffs]
+        best = min(weights)
+        minima = [i for i, w in enumerate(weights) if w == best]
+        pick = minima[-1]
+        reports.append(
+            LocalizationReport(
+                step=steps[min(pick + 1, len(steps) - 1)],
+                mask=diffs[pick],
+                hamming=best,
+                ambiguous=minima != list(range(minima[0], pick + 1)),
+            )
+        )
+    return reports
+
+
+@pytest.mark.parametrize("op", [AesOp.SHIFT_ROWS, AesOp.ADD_ROUND_KEY])
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+def test_shift_rows_and_add_round_key_faults_match_popcount_reference(key_len, op):
+    # the batch carries the weight over at these steps instead of counting it
+    rng = random.Random(key_len + op)
+    ks = expand_key(rng.randbytes(key_len))
+    pt = rng.randbytes(16)
+    cts = []
+    for rnd in range(1, ks.n_rounds + 1):
+        for bits in (1, 2, 8, 40):
+            mask = bytearray(16)
+            for pos in rng.sample(range(128), bits):
+                mask[pos // 8] |= 1 << pos % 8
+            cts.append(encrypt_with_faults(pt, ks, [FaultSpec(StepId(rnd, op), bytes(mask))]))
+    cts.append(encrypt_block(pt, ks))
+    reports = localize_many(ks, pt, cts)
+    assert reports == popcount_reference(ks, pt, cts)
+    single_bit = reports[:-1:4]  # the 1-bit faults: no step differs by fewer bits
+    assert all(r.hamming == 1 and sum(b.bit_count() for b in r.mask) == 1 for r in single_bit)
+
+
 def test_chunks_do_not_change_reports(monkeypatch):
     cfg = mixed_config(8, 32)
     ks = expand_key(cfg.key)
