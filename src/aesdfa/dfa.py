@@ -12,11 +12,12 @@ with an unknown fault value eps and a coefficient column (a rotation of
 2,1,1,3) selected by the unknown fault row. Candidates are tracked as full
 4-byte tuples per group, each packed into one int (byte i at bits 8i):
 a byte survives only inside at least one tuple consistent with a single
-(eps, row) hypothesis, and intersecting tuple sets across independent
-faults collapses each group to one tuple with two or three usable faulty
-ciphertexts. These per-group tuple sets are the only candidate
-representation; keys are the product of the four sets whenever it has at
-most _MAX_PRODUCT members, a single key being the product of one.
+(eps, row) hypothesis. The first usable faulty ciphertext's tuples are
+enumerated; every later one filters them by the same predicate, in bytes
+operations, which collapses each group to one tuple with two or three
+usable faulty ciphertexts. These per-group tuple sets are the only
+candidate representation; keys are the product of the four sets whenever
+it has at most _MAX_PRODUCT members, a single key being the product of one.
 
 A second round key is recovered by peeling the final round with the first
 one and re-running the same attack on the shortened cipher; the peeled
@@ -26,10 +27,11 @@ before returning.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from math import prod
 from typing import Callable, Sequence
 
@@ -54,6 +56,10 @@ _FAULT_COLUMNS = ((2, 1, 1, 3), (3, 2, 1, 1), (1, 3, 2, 1), (1, 1, 3, 2))
 
 # larger candidate products are left unassembled
 _MAX_PRODUCT = 16
+
+# offsets of a packed tuple's bytes 0..3 within one array("I") item
+_ITEM = array("I").itemsize
+_BYTE_AT = range(4) if sys.byteorder == "little" else range(_ITEM - 1, _ITEM - 5, -1)
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,29 @@ class CipherTables:
         """Per MixColumns coefficient c: c*eps by eps, and nonzero eps by c*eps."""
         times = {c: [self.mul(c, eps) for eps in range(self.n_values)] for c in (1, 2, 3)}
         return times, {c: {d: eps for eps, d in enumerate(t) if eps} for c, t in times.items()}
+
+    @cached_property
+    def _filter_tables(self) -> tuple[list[int], list[bytes], list[tuple[int, int, int]], bytes]:
+        """256-byte tables for _filter_tuples; entries past n_values are 0.
+
+        Per value b, the row k -> inv_sbox[b ^ k] as a little-endian int; one
+        table d -> (c / c_0) * d per distinct coefficient ratio, and per fault
+        row the indices of its ratios for positions 1..3; and the table that
+        maps 0 to 1 and every other byte to 0.
+        """
+        times, div = self._coeff_tables
+        inv = bytes(self.inv_sbox).ljust(256, b"\0")
+        identity, ones = int.from_bytes(bytes(range(256)), "little"), int.from_bytes(b"\1" * 256, "little")
+        rows = [
+            int.from_bytes((identity ^ b * ones).to_bytes(256, "little").translate(inv), "little")
+            for b in range(self.n_values)
+        ]
+        index: dict[tuple[int, int], int] = {}
+        fault_rows = [tuple(index.setdefault((c, c0), len(index)) for c in rest) for c0, *rest in _FAULT_COLUMNS]
+        scales = [
+            bytes(times[c][div[c0].get(d, 0)] for d in range(self.n_values)).ljust(256, b"\0") for c, c0 in index
+        ]
+        return rows, scales, fault_rows, b"\1".ljust(256, b"\0")
 
 
 _AES_TABLES = CipherTables(inv_sbox=INV_SBOX, mul=gf_mul, n_values=256)
@@ -180,12 +209,43 @@ def _split_groups(ct: bytes) -> list[tuple[int, ...]]:
     return [tuple(ct[p] for p in g.positions) for g in DIAGONAL_GROUPS]
 
 
-def _narrow(acc: frozenset[int] | None, g: int, ref: tuple, fault: tuple, memo: dict) -> frozenset[int]:
-    """`acc` intersected with group g's tuples for one pair, enumerated once per memo."""
+def _filter_tuples(
+    tuples: array, ref: Sequence[int], fault: Sequence[int], tables: CipherTables = _AES_TABLES
+) -> array:
+    """The members of `tuples` that column_candidates(ref, fault) enumerates, in their order.
+
+    Tests column_candidates's predicate on each tuple in bytes operations:
+    position i's key bytes translate through inv_sbox[ref_i ^ k] ^
+    inv_sbox[fault_i ^ k] to their differentials d_i, and a fault row fits
+    where d_0 times each coefficient ratio c_i / c_0 equals d_1..d_3. At a
+    position with ref_i == fault_i every d_i is 0 and no row fits, as no
+    nonzero eps does.
+    """
+    if tuple(ref) == tuple(fault):
+        raise ValueError("reference and faulty bytes are identical: no information")
+    rows, scales, fault_rows, is_zero = tables._filter_tables
+    buf, n = tuples.tobytes(), len(tuples)
+    d0, *later = (
+        buf[at :: tuples.itemsize].translate((rows[r] ^ rows[f]).to_bytes(256, "little"))
+        for at, r, f in zip(_BYTE_AT, ref, fault)
+    )
+    d1, d2, d3 = (int.from_bytes(d, "little") for d in later)
+    scaled = [int.from_bytes(d0.translate(scale), "little") for scale in scales]
+    fits = 0
+    for a, b, c in fault_rows:
+        miss = (scaled[a] ^ d1) | (scaled[b] ^ d2) | (scaled[c] ^ d3)
+        fits |= int.from_bytes(miss.to_bytes(n, "little").translate(is_zero), "little")
+    return array("I", compress(tuples, fits.to_bytes(n, "little")) if fits else ())
+
+
+def _narrow(acc: array | None, g: int, ref: tuple, fault: tuple, memo: dict) -> array:
+    """Group g's tuples after one more pair: the first pair's enumerated once per memo, `acc` filtered after."""
+    if acc is not None:
+        return _filter_tuples(acc, ref, fault)
     fresh = memo.get((g, ref, fault))
     if fresh is None:
         fresh = memo[g, ref, fault] = array("I", column_candidates(ref, fault, DIAGONAL_GROUPS[g]).tuples)
-    return frozenset(fresh) if acc is None else acc.intersection(fresh)
+    return fresh
 
 
 def _key_product(columns: Sequence[ColumnCandidates | None]) -> list[bytes]:
@@ -211,22 +271,25 @@ def last_round_key(
     Each faulty ciphertext must differ from the reference in all four
     diagonal groups (the propagation signature of a single-byte fault at
     the MixColumns input two rounds before the end); others are skipped
-    with a notice. Candidate tuples are intersected per group across the
-    usable ciphertexts.
+    with a notice. The first usable ciphertext's candidate tuples are
+    enumerated per group, and each later usable one keeps only the tuples
+    it also admits.
 
-    A ciphertext that empties any group's intersection raises
+    A ciphertext that leaves any group without a tuple raises
     InconsistentPairError naming it, or, with on_conflict="skip", is
     dropped and recorded so a batch with enough good samples still
     converges.
 
     `memo` maps (group index, reference and faulty group bytes) to their
-    enumerated tuples; a search passes one dict to every grouping it solves.
+    enumerated tuples, for the first usable ciphertext only: later ones
+    filter those tuples and are not enumerated. A search passes one dict to
+    every grouping it solves.
     """
     if on_conflict not in ("raise", "skip"):
         raise ValueError(f"on_conflict must be 'raise' or 'skip', got {on_conflict!r}")
     memo = {} if memo is None else memo
     ref_groups = _split_groups(ref_ct)
-    acc: list[frozenset[int] | None] = [None] * 4
+    acc: list[array | None] = [None] * 4
     result = DfaResult(candidates=(None,) * 4)
 
     for idx, faulty in enumerate(faulty_cts):
@@ -249,7 +312,7 @@ def last_round_key(
             result.skipped.append((idx, f"no joint solution in group {len(merged)}"))
 
     result.candidates = tuple(
-        None if tuples is None else ColumnCandidates(group, tuples)
+        None if tuples is None else ColumnCandidates(group, frozenset(tuples))
         for group, tuples in zip(DIAGONAL_GROUPS, acc)
     )
     result.keys = _key_product(result.candidates)
@@ -283,7 +346,7 @@ def single_column_key(ref_ct: bytes, faulty_cts: Sequence[bytes]) -> DfaResult:
         elif touched[0] != group:
             raise ValueError("faulty ciphertexts target different diagonal groups")
 
-    acc: frozenset[int] | None = None
+    acc: array | None = None
     memo: dict = {}
     result = DfaResult(candidates=(None,) * 4)
     for idx, (faulty, groups) in enumerate(zip(faulty_cts, faulty_groups)):
@@ -292,9 +355,9 @@ def single_column_key(ref_ct: bytes, faulty_cts: Sequence[bytes]) -> DfaResult:
             raise InconsistentPairError(faulty, DIAGONAL_GROUPS[group])
         result.used.append(idx)
 
-    result.candidates = tuple(ColumnCandidates(g, acc) if g.index == group else None for g in DIAGONAL_GROUPS)
+    result.candidates = tuple(ColumnCandidates(g, frozenset(acc)) if g.index == group else None for g in DIAGONAL_GROUPS)
     if len(acc) == 1:
-        result.keys = [next(iter(acc)).to_bytes(4, "little")]
+        result.keys = [acc[0].to_bytes(4, "little")]
     return result
 
 

@@ -414,6 +414,16 @@ def test_import_leaves_out_numpy_and_cryptography():
         assert run.stdout.strip() == "[]", module
 
 
+def test_import_builds_no_solver_filter_tables():
+    # the solver builds its filter tables on first use, so no command pays for them at start-up
+    src = str(Path(aesdfa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import aesdfa.cli; from aesdfa.dfa import _AES_TABLES; print('_filter_tables' in _AES_TABLES.__dict__)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def spaced(text):
     """Same length, but two spaces stand in for the last byte, as in
     "6b d5 61..."; bytes.fromhex would skip them and decode one byte short."""

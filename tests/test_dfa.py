@@ -1,15 +1,20 @@
 import random
+from array import array
 from itertools import product
+from math import prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from aesdfa.aes import INV_SBOX, AesOp, StepId, encrypt_block, expand_key, gf_mul
+from aesdfa import dfa
+from aesdfa.aes import INV_SBOX, SBOX, AesOp, StepId, encrypt_block, expand_key, gf_mul
 from aesdfa.dfa import (
     DIAGONAL_GROUPS,
+    ColumnCandidates,
     InconsistentPairError,
+    _filter_tuples,
     column_candidates,
     last_round_key,
     penultimate_round_key,
@@ -37,6 +42,10 @@ def make_pair(rng, key=None, fault_round=12):
     ref = encrypt_block(pt, ks)
     faults = [byte_fault(fault_round, rng.randrange(16), rng.randrange(1, 256))]
     return ks, pt, ref, encrypt_with_faults(pt, ks, faults)
+
+
+def group_of(ct, g):
+    return tuple(ct[p] for p in g.positions)
 
 
 def touched_groups(ref, ct):
@@ -167,16 +176,22 @@ class TestLastRoundKey:
         assert [len(col.tuples) for col in result.candidates] == [1, 1, 1, 1248]
         assert result.keys == [] and result.key is None
 
-    def test_memo_gives_the_same_result(self):
+    def test_memo_gives_the_same_result(self, monkeypatch):
         rng = random.Random(37)
         ks, pt, ref, f1 = make_pair(rng)
         f2 = encrypt_with_faults(pt, ks, [byte_fault(12, 6, 0x5A)])
         memo = {}
         plain = last_round_key(ref, [f1, f2])
-        for _ in range(2):
-            cached = last_round_key(ref, [f1, f2], memo=memo)
-            assert cached.candidates == plain.candidates and cached.keys == plain.keys
-        assert len(memo) == 8
+        cached = last_round_key(ref, [f1, f2], memo=memo)
+        assert cached.candidates == plain.candidates and cached.keys == plain.keys
+        # only the first ciphertext is enumerated; the second filters its tuples
+        assert set(memo) == {(g.index, group_of(ref, g), group_of(f1, g)) for g in DIAGONAL_GROUPS}
+        calls = []
+        original = dfa.column_candidates
+        monkeypatch.setattr(dfa, "column_candidates", lambda *args: calls.append(args) or original(*args))
+        again = last_round_key(ref, [f1, f2], memo=memo)
+        assert again.candidates == plain.candidates and again.keys == plain.keys
+        assert calls == [] and len(memo) == 4
 
     def test_empty_list_is_unconstrained(self):
         result = last_round_key(bytes(16), [])
@@ -401,3 +416,169 @@ class TestSoundnessProperties:
         for col in result.candidates:
             assert pack(peeled_target[p] for p in col.group.positions) in col.tuples
 
+
+def fault_column(key, state, row, eps):
+    """One group's faulty bytes for a genuine fault eps in state row `row`."""
+    return [SBOX[s ^ gf_mul(MIX_MATRIX[i][row], eps)] ^ k for i, (k, s) in enumerate(zip(key, state))]
+
+
+@st.composite
+def filter_cases(draw):
+    """(ref, fa, fb): fa a genuine fault; fb a second one of the same key,
+    random bytes, or a genuine fault with one byte equal to the reference."""
+    key, state = draw(group_bytes), draw(group_bytes)
+    ref = [SBOX[s] ^ k for k, s in zip(key, state)]
+    faults = st.tuples(st.integers(0, 3), st.integers(1, 255))
+    fa = fault_column(key, state, *draw(faults))
+    kind = draw(st.sampled_from(("in_model", "out_of_model", "equal_byte")))
+    if kind == "out_of_model":
+        fb = draw(group_bytes)
+    else:
+        fb = fault_column(key, state, *draw(faults))
+        if kind == "equal_byte":
+            pos = draw(st.integers(0, 3))
+            fb[pos] = ref[pos]
+    assume(fb != ref)
+    return ref, fa, fb
+
+
+class TestFilterTuples:
+    @given(case=filter_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_intersection_with_the_enumeration(self, case):
+        ref, fa, fb = case
+        g = DIAGONAL_GROUPS[0]
+        first = array("I", column_candidates(ref, fa, g).tuples)
+        expected = column_candidates(ref, fb, g).tuples
+        assert list(_filter_tuples(first, ref, fb)) == [t for t in first if t in expected]
+
+    def test_toy_filter_of_the_whole_key_space_is_the_exhaustive_set(self):
+        every = array("I", (pack(t) for t in product(range(16), repeat=4)))
+        rng = random.Random(62)
+        for n in range(150):
+            _, ref, faulty = toy_fault_pair(rng)
+            # and random nibbles, or the genuine fault with one nibble equal to the reference
+            other = [rng.randrange(16) for _ in range(4)] if n % 2 else [*faulty[:3], ref[3]]
+            for fb in (faulty, other):
+                if fb != ref:
+                    assert frozenset(_filter_tuples(every, ref, fb, TOY_TABLES)) == exhaustive_tuples(ref, fb)
+
+    def test_identical_bytes_rejected(self):
+        with pytest.raises(ValueError, match="identical"):
+            _filter_tuples(array("I", [1]), [1, 2, 3, 4], [1, 2, 3, 4])
+
+
+def intersecting_solve(ref_ct, faulty_cts, groups, on_conflict="raise"):
+    """The solver by its first definition: enumerate every usable ciphertext
+    in `groups` and intersect the sets. Returns (candidates, keys, used,
+    skipped), or ("raised", ciphertext, group index) for the conflict."""
+    acc = {g: None for g in groups}
+    used, skipped = [], []
+    for idx, ct in enumerate(faulty_cts):
+        if any(group_of(ref_ct, g) == group_of(ct, g) for g in groups):
+            skipped.append((idx, "diff does not cover all 4 groups"))
+            continue
+        merged = {}
+        for g in groups:
+            fresh = column_candidates(group_of(ref_ct, g), group_of(ct, g), g).tuples
+            merged[g] = fresh if acc[g] is None else acc[g] & fresh
+            if not merged[g]:
+                if on_conflict == "raise":
+                    return "raised", ct, g.index
+                skipped.append((idx, f"no joint solution in group {g.index}"))
+                break
+        else:
+            acc = merged
+            used.append(idx)
+    candidates = tuple(None if acc.get(g) is None else ColumnCandidates(g, acc[g]) for g in DIAGONAL_GROUPS)
+    keys = []
+    if len(groups) == 4 and all(acc.values()) and prod(len(s) for s in acc.values()) <= 16:
+        # each tuple placed at its key positions, sorted as 16-byte little-endian ints
+        placed = [
+            sorted(sum(((t >> 8 * i) & 0xFF) << 8 * p for i, p in enumerate(g.positions)) for t in acc[g])
+            for g in groups
+        ]
+        keys = [sum(parts).to_bytes(16, "little") for parts in product(*placed)]
+    elif len(groups) == 1 and len(acc[groups[0]] or ()) == 1:
+        keys = [next(iter(acc[groups[0]])).to_bytes(4, "little")]
+    return candidates, keys, used, skipped
+
+
+def solved(solve, *args, **kwargs):
+    try:
+        result = solve(*args, **kwargs)
+    except InconsistentPairError as err:
+        return "raised", err.ct, err.group.index
+    return result.candidates, result.keys, result.used, result.skipped
+
+
+POOL_KINDS = ("in_model", "repeated", "out_of_model", "single_group", "equal_byte")
+
+
+def mixed_pool(seed, kinds, fault_round):
+    """A reference and one faulty ciphertext per kind, all of one key and plaintext."""
+    rng = random.Random(seed)
+    ks, pt = expand_key(rng.randbytes(32)), rng.randbytes(16)
+    ref = encrypt_block(pt, ks)
+    target = rng.randrange(16)  # the state byte single-group faults hit
+    cts = []
+    for kind in kinds:
+        if kind == "repeated" and cts:
+            cts.append(rng.choice(cts))
+        elif kind == "out_of_model":
+            if fault_round == 12:
+                cts.append(rng.randbytes(16))
+            else:  # random bytes confined to the group the pool's faults hit
+                g = touched_groups(ref, encrypt_with_faults(pt, ks, [byte_fault(13, target, 1)]))[0]
+                junk = bytearray(ref)
+                for p in g.positions:
+                    junk[p] = rng.randrange(256)
+                cts.append(bytes(junk))
+        elif kind == "single_group" and fault_round == 12:
+            cts.append(encrypt_with_faults(pt, ks, [byte_fault(13, rng.randrange(16), rng.randrange(1, 256))]))
+        else:
+            pos = target if fault_round == 13 else rng.randrange(16)
+            ct = bytearray(encrypt_with_faults(pt, ks, [byte_fault(fault_round, pos, rng.randrange(1, 256))]))
+            if kind == "equal_byte":
+                p = rng.choice([p for p in range(16) if ct[p] != ref[p]])
+                ct[p] = ref[p]
+            cts.append(bytes(ct))
+    return ref, cts
+
+
+class TestAgainstIntersectingSolver:
+    @given(seed=st.integers(0, 2**32), kinds=st.lists(st.sampled_from(POOL_KINDS), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_last_round_key(self, seed, kinds):
+        ref, cts = mixed_pool(seed, kinds, fault_round=12)
+        for mode in ("raise", "skip"):
+            expected = intersecting_solve(ref, cts, DIAGONAL_GROUPS, on_conflict=mode)
+            assert solved(last_round_key, ref, cts, on_conflict=mode) == expected
+
+    @given(seed=st.integers(0, 2**32), kinds=st.lists(st.sampled_from(POOL_KINDS), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_single_column_key(self, seed, kinds):
+        ref, cts = mixed_pool(seed, kinds, fault_round=13)
+        groups = {tuple(touched_groups(ref, ct)) for ct in cts}
+        assume(len(groups) == 1 and len(next(iter(groups))) == 1)
+        expected = intersecting_solve(ref, cts, next(iter(groups)))
+        assert solved(single_column_key, ref, cts) == expected
+
+    def test_first_ciphertext_is_named_when_it_empties_a_later_group(self):
+        # the first leaves no tuple in group 2 by itself, the second none in
+        # group 0; a solver that ran group 0 of every ciphertext before group 2
+        # would name the second
+        rng = random.Random(38)
+        ks, pt, ref, first = make_pair(rng)
+        second = encrypt_with_faults(pt, ks, [byte_fault(12, 4, 0x6D)])
+        first, second = bytearray(first), bytearray(second)
+        first[DIAGONAL_GROUPS[2].positions[1]] = ref[DIAGONAL_GROUPS[2].positions[1]]
+        second[DIAGONAL_GROUPS[0].positions[3]] = ref[DIAGONAL_GROUPS[0].positions[3]]
+        cts = [bytes(first), bytes(second)]
+        g0 = DIAGONAL_GROUPS[0]
+        assert column_candidates(group_of(ref, g0), group_of(first, g0), g0).tuples
+        expected = intersecting_solve(ref, cts, DIAGONAL_GROUPS)
+        assert expected == ("raised", cts[0], 2)
+        assert solved(last_round_key, ref, cts) == expected
+        skipped = last_round_key(ref, cts, on_conflict="skip").skipped
+        assert skipped == [(0, "no joint solution in group 2"), (1, "no joint solution in group 0")]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -341,3 +342,76 @@ class TestAes192:
         clean, r2, r3 = fault_campaign(key192, PT, rng, n_r2=3, n_r3=3)
         report = recover_key(clean, r2, r3, PT, key_size=192, mode="pairwise")
         assert report.recovered_key == key192
+
+
+def pinned_search(case):
+    """(recover_key arguments, keyword arguments) of one pinned search, by name."""
+    kind, key_size, mode = case.split("/")
+    key_size = int(key_size)
+    rng = random.Random(case)
+    key = rng.randbytes(key_size // 8)
+    n_r3 = 0 if key_size == 128 else 4
+    kwargs = {"key_size": key_size, "mode": mode}
+    if kind == "static":
+        # a shared corruption at one glitch site: pairwise dies, second order solves
+        z = bytearray(16)
+        for pos in rng.sample(range(16), 3):
+            z[pos] = rng.randrange(1, 256)
+        pools = fault_campaign(key, PT, rng, n_r2=4, n_r3=n_r3, static_mask=bytes(z), pinned_pos=rng.randrange(16))
+    elif kind == "mixed":
+        # spread faults first, then 2 or 3 single-byte ones per stage
+        pools = fault_campaign(key, PT, rng, n_r2=3, n_r3=min(n_r3, 2), multi_byte_r2=3)
+    elif kind.startswith("small"):
+        # seed 27 leaves 2 tuples in a last-round group, seed 17 in a penultimate one
+        pools = fault_campaign(KEY, PT, random.Random(int(kind.removeprefix("small"))), n_r2=2, n_r3=2)
+    elif kind == "deadpen":
+        # every last-round pair pins the key, and no penultimate grouping solves
+        clean, r2, _ = fault_campaign(key, PT, rng, n_r2=3, n_r3=0, pinned_pos=rng.randrange(16))
+        pools = clean, r2, [rng.randbytes(16) for _ in range(4)]
+    else:
+        # no valid grouping: the search exhausts, or its budget runs out
+        junk = [rng.randbytes(16) for _ in range(10)]
+        pools = encrypt_block(PT, expand_key(key)), junk[:7], junk[7:] if key_size != 128 else []
+        if kind == "budget":
+            kwargs["max_groupings"] = 15
+    return (*pools, PT), kwargs
+
+
+# SHA-256 of recover_key(...).to_json(), taken from the solver that enumerated
+# every faulty ciphertext and intersected the sets
+REPORT_DIGESTS = {
+    "mixed/128/pairwise": "3eceff04f51eadd7698dd90317765dde9ede36f7a23298c17c1f395133ccb473",
+    "mixed/128/auto": "7b1ff6f2ff76b3308e83f7ef3a9fcd6aec2e5107da84915f3f8cea1eeb51c072",
+    "mixed/128/second_order": "f660220c71a0ceb0e486596b040be837259e2db204f2987d09d7e824a0202465",
+    "static/128/second_order": "2476cd8d6b48f133a9e2212601f8a785c6ce330c51ae051c18472313f1e9e31f",
+    "static/128/auto": "a0de1d9d06a41706e556f54ff72ce190954b81a8d63b979d7cdef9ac16e7178d",
+    "mixed/192/pairwise": "d2325dcb614acecb5c675db46bf7be2b7c317ae3ef8981851e0cb310e4ad7bdd",
+    "mixed/192/auto": "5f2b34ba7d208d1cca443e01c3f579cf4bcfb3dc251460dcfe3bf527a6a5b2e0",
+    "mixed/192/second_order": "251773808dead287554b58cb04db83400e0b8475a7f77a57e8e2d4339dc499b3",
+    "static/192/second_order": "7ff1bfb7d69d6254020d6024afe82735bac100ef9feceaf4419486041f866dc9",
+    "static/192/auto": "208cea500797dfacea732e90dbad76e9cdc5022066f5bf81f12d68e53c0d0055",
+    "mixed/256/pairwise": "9252bf654fd53101b053c2d600ca2bd756c8f434624b2feb53f661d97aeea4b9",
+    "mixed/256/auto": "f99105547762a42bdecb9194366b8efdb69db45bb8320d232e9a171ae0483718",
+    "mixed/256/second_order": "251773808dead287554b58cb04db83400e0b8475a7f77a57e8e2d4339dc499b3",
+    "static/256/second_order": "a97d74b172c51ab525009b629b9a13b05e52d5606d9893714f7225cb1be1a4f9",
+    "static/256/auto": "25fd1d4c3b770dcd9f80a215cb5e096e185f90df668c8a0b898834989e7fc7f3",
+    "small27/256/pairwise": "aa93cab4e8b677a72e2ad538ed0b66bb996ae7d34b9412d407680252c14e2afa",
+    "small17/256/pairwise": "436fe76b04396000bce96cb79285000470ead9fca5541bcf0827c3df632adaec",
+    "exhaust/128/second_order": "c03dd44e04ec00fc9f368ddd530d5f691ee764cfb73ebb380c1780f1b6c5bf6c",
+    "exhaust/128/auto": "4088d64b927e0e291f2402b44d5aadd2ea734062a70c0d86ffd767caaa9dde0c",
+    "exhaust/256/second_order": "d74e6357b1e72234593bcef2cde0c981c43f65655ce059f3171b8eab8963515a",
+    "exhaust/256/auto": "78573dc035be5b77e2b686c5937acae747d1b716a735331663f21d2ce5ef6f44",
+    "budget/256/second_order": "31349ddc1ffbc75f2c1ea855ea396bc23dc19300240e0a32fda5bc1a9944ed37",
+    "budget/192/auto": "0817a67f76b68a568591f41c127c792e083cfcd33ffd5cc51cfd6f0af3509a01",
+    "budget/128/pairwise": "97325c73325b64fc9aa02379872166c29f1a057ee120d7560298ebb01ef833cd",
+    "deadpen/256/pairwise": "465f66f77ddc7427685a7406c295b73d81dbc5739051b782c359588008ad7d4c",
+    "deadpen/192/second_order": "628847378372577cc7d140a6d7d3e6d1259a61bfd05a32fa1fde747bf4192bf8",
+    "deadpen/256/auto": "46f8747d4a8fe70521b361871d64e24672de4cbb87891b43553ea80daf84fedd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+def test_report_json_is_pinned(case):
+    args, kwargs = pinned_search(case)
+    report = recover_key(*args, **kwargs).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_DIGESTS[case]
