@@ -227,6 +227,7 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     own pinned step). The random draw sequence does not depend on the
     static mask, so campaigns differing only in it stay sample-aligned.
     All draws come first; the faulted runs then encrypt as packed batches.
+    A record is marked faulted when its ciphertext differs from the clean one.
     """
     draws = _draw_samples(cfg)
     ks = expand_key(cfg.key)
@@ -235,7 +236,7 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     records = [CiphertextRecord(cfg.plaintext, clean_ct, None, None, cfg.slot, False)]
     for offset, taps in draws:
         ct = next(faulty) if taps else clean_ct
-        records.append(CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, bool(taps)))
+        records.append(CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, ct != clean_ct))
     return records
 
 
@@ -452,8 +453,8 @@ def parse_config(fp: IO[str]) -> CampaignConfig:
         raise ConfigError((scalars.get("static_round") or scalars["static_op"])[1],
                           "static_round and static_op must be given together")
     if "static_round" in scalars:
-        op = scalars["static_op"][0]
-        static_step = parsed("static_round", lambda value: StepId(int(value), AesOp.from_label(op)))
+        op = parsed("static_op", AesOp.from_label)
+        static_step = parsed("static_round", lambda value: StepId(int(value), op).validate(n_rounds))
 
     try:
         return CampaignConfig(

@@ -206,6 +206,8 @@ def column_candidates(
 
 
 def _split_groups(ct: bytes) -> list[tuple[int, ...]]:
+    if len(ct) != 16:
+        raise ValueError(f"ciphertext must be 16 bytes, got {len(ct)}")
     return [tuple(ct[p] for p in g.positions) for g in DIAGONAL_GROUPS]
 
 
@@ -238,16 +240,6 @@ def _filter_tuples(
     return array("I", compress(tuples, fits.to_bytes(n, "little")) if fits else ())
 
 
-def _narrow(acc: array | None, g: int, ref: tuple, fault: tuple, memo: dict) -> array:
-    """Group g's tuples after one more pair: the first pair's enumerated once per memo, `acc` filtered after."""
-    if acc is not None:
-        return _filter_tuples(acc, ref, fault)
-    fresh = memo.get((g, ref, fault))
-    if fresh is None:
-        fresh = memo[g, ref, fault] = array("I", column_candidates(ref, fault, DIAGONAL_GROUPS[g]).tuples)
-    return fresh
-
-
 def _key_product(columns: Sequence[ColumnCandidates | None]) -> list[bytes]:
     if any(col is None for col in columns) or prod(len(col.tuples) for col in columns) > _MAX_PRODUCT:
         return []
@@ -257,6 +249,42 @@ def _key_product(columns: Sequence[ColumnCandidates | None]) -> list[bytes]:
         for col in columns
     ]
     return [sum(parts).to_bytes(16, "little") for parts in product(*placed)]
+
+
+def _solve(ref_ct: bytes, faulty_cts: Sequence[bytes], groups: Sequence[int], on_conflict: str,
+           memo: dict) -> DfaResult:
+    """last_round_key's narrowing over the diagonal groups in `groups`; `keys` is left empty."""
+    ref_groups = _split_groups(ref_ct)
+    acc: list[array] = []  # per member of `groups`, once a ciphertext is used
+    result = DfaResult(candidates=(None,) * 4)
+    for idx, faulty in enumerate(faulty_cts):
+        faulty_groups = _split_groups(faulty)
+        if any(ref_groups[g] == faulty_groups[g] for g in groups):
+            result.skipped.append((idx, "diff does not cover all 4 groups"))
+            continue
+        merged = []
+        for at, g in enumerate(groups):
+            ref, fault = ref_groups[g], faulty_groups[g]
+            if acc:
+                joint = _filter_tuples(acc[at], ref, fault)
+            else:
+                joint = memo.get((g, ref, fault))
+                if joint is None:
+                    joint = memo[g, ref, fault] = array("I", column_candidates(ref, fault, DIAGONAL_GROUPS[g]).tuples)
+            if not joint:
+                break
+            merged.append(joint)
+        if len(merged) == len(groups):
+            acc = merged
+            result.used.append(idx)
+        elif on_conflict == "raise":
+            raise InconsistentPairError(faulty, DIAGONAL_GROUPS[groups[len(merged)]])
+        else:
+            result.skipped.append((idx, f"no joint solution in group {groups[len(merged)]}"))
+
+    narrowed = {g: ColumnCandidates(DIAGONAL_GROUPS[g], frozenset(tuples)) for g, tuples in zip(groups, acc)}
+    result.candidates = tuple(narrowed.get(g) for g in range(4))
+    return result
 
 
 def last_round_key(
@@ -273,7 +301,7 @@ def last_round_key(
     the MixColumns input two rounds before the end); others are skipped
     with a notice. The first usable ciphertext's candidate tuples are
     enumerated per group, and each later usable one keeps only the tuples
-    it also admits.
+    it also admits. single_column_key runs this same loop on its one group.
 
     A ciphertext that leaves any group without a tuple raises
     InconsistentPairError naming it, or, with on_conflict="skip", is
@@ -287,34 +315,7 @@ def last_round_key(
     """
     if on_conflict not in ("raise", "skip"):
         raise ValueError(f"on_conflict must be 'raise' or 'skip', got {on_conflict!r}")
-    memo = {} if memo is None else memo
-    ref_groups = _split_groups(ref_ct)
-    acc: list[array | None] = [None] * 4
-    result = DfaResult(candidates=(None,) * 4)
-
-    for idx, faulty in enumerate(faulty_cts):
-        faulty_groups = _split_groups(faulty)
-        if any(r == f for r, f in zip(ref_groups, faulty_groups)):
-            result.skipped.append((idx, "diff does not cover all 4 groups"))
-            continue
-        merged = []
-        for g, (ref, fault) in enumerate(zip(ref_groups, faulty_groups)):
-            joint = _narrow(acc[g], g, ref, fault, memo)
-            if not joint:
-                break
-            merged.append(joint)
-        if len(merged) == 4:
-            acc = merged
-            result.used.append(idx)
-        elif on_conflict == "raise":
-            raise InconsistentPairError(faulty, DIAGONAL_GROUPS[len(merged)])
-        else:
-            result.skipped.append((idx, f"no joint solution in group {len(merged)}"))
-
-    result.candidates = tuple(
-        None if tuples is None else ColumnCandidates(group, frozenset(tuples))
-        for group, tuples in zip(DIAGONAL_GROUPS, acc)
-    )
+    result = _solve(ref_ct, faulty_cts, range(4), on_conflict, {} if memo is None else memo)
     result.keys = _key_product(result.candidates)
     return result
 
@@ -325,17 +326,17 @@ def single_column_key(ref_ct: bytes, faulty_cts: Sequence[bytes]) -> DfaResult:
     A single-byte fault at the MixColumns input of the round before the
     last corrupts exactly one diagonal group, so every supplied faulty
     ciphertext must differ from the reference inside one common group;
-    anything spanning more is rejected as the wrong fault model. The
-    returned candidates are None for every other group, and `key` holds
+    anything spanning more is rejected as the wrong fault model. That
+    group runs last_round_key's loop, which raises InconsistentPairError
+    on a conflict; the other groups' candidates are None. `key` holds
     the group's 4 bytes in group row order once one tuple is left.
     """
     if not faulty_cts:
         raise ValueError("need at least one faulty ciphertext")
     ref_groups = _split_groups(ref_ct)
-    faulty_groups = [_split_groups(faulty) for faulty in faulty_cts]
     group: int | None = None
-    for groups in faulty_groups:
-        touched = [g for g, (ref, fault) in enumerate(zip(ref_groups, groups)) if ref != fault]
+    for faulty in faulty_cts:
+        touched = [g for g, (ref, fault) in enumerate(zip(ref_groups, _split_groups(faulty))) if ref != fault]
         if len(touched) != 1:
             raise ValueError(
                 f"difference spans {len(touched)} diagonal groups; "
@@ -346,18 +347,9 @@ def single_column_key(ref_ct: bytes, faulty_cts: Sequence[bytes]) -> DfaResult:
         elif touched[0] != group:
             raise ValueError("faulty ciphertexts target different diagonal groups")
 
-    acc: array | None = None
-    memo: dict = {}
-    result = DfaResult(candidates=(None,) * 4)
-    for idx, (faulty, groups) in enumerate(zip(faulty_cts, faulty_groups)):
-        acc = _narrow(acc, group, ref_groups[group], groups[group], memo)
-        if not acc:
-            raise InconsistentPairError(faulty, DIAGONAL_GROUPS[group])
-        result.used.append(idx)
-
-    result.candidates = tuple(ColumnCandidates(g, frozenset(acc)) if g.index == group else None for g in DIAGONAL_GROUPS)
-    if len(acc) == 1:
-        result.keys = [acc[0].to_bytes(4, "little")]
+    result = _solve(ref_ct, faulty_cts, (group,), "raise", {})
+    tuples = result.candidates[group].tuples
+    result.keys = [t.to_bytes(4, "little") for t in tuples] if len(tuples) == 1 else []
     return result
 
 

@@ -228,6 +228,11 @@ def recover_key(
         raise ValueError(f"mode must be pairwise, second_order or auto, got {mode!r}")
     if max_groupings < 1:
         raise ValueError(f"max_groupings must be at least 1, got {max_groupings}")
+    blocks = {"clean_ct": clean_ct, "pt": pt, **{f"r2_cts[{i}]": ct for i, ct in enumerate(r2_cts)},
+              **{f"r3_cts[{i}]": ct for i, ct in enumerate(r3_cts)}}
+    for name, block in blocks.items():
+        if len(block) != 16:
+            raise ValueError(f"{name} must be 16 bytes, got {len(block)}")
     args = (clean_ct, r2_cts, r3_cts, pt, key_size, max_groupings)
     if mode != "auto":
         return _run_attack(mode, *args)

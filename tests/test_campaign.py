@@ -69,6 +69,15 @@ class TestGenerateCampaign:
         assert all(r.ciphertext != clean for r in records if r.faulted)
         assert sum(r.faulted for r in records) == 20
 
+    def test_cancelling_masks_leave_an_unfaulted_record(self):
+        # where the dynamic mask draws the static mask's one bit, the two cancel
+        cfg = base_config(key=bytes(32), offsets=mc_offsets(byte=0), static_mask=bytes([1] + [0] * 15), samples=40)
+        records = generate_campaign(cfg)
+        clean = records[0].ciphertext
+        assert [i for i, r in enumerate(records) if r.ciphertext == clean] == [0, 7, 8, 18, 25, 29, 31, 39]
+        assert all(r.faulted == (r.ciphertext != clean) for r in records)
+        assert records == reference_campaign(cfg)[0]
+
     def test_static_mask_marks_every_glitched_sample(self):
         z = bytes([0, 0x80] + [0] * 14)
         records = generate_campaign(base_config(fault_rate=0.0, static_mask=z))
@@ -123,7 +132,7 @@ def reference_campaign(cfg):
             faults.append(FaultSpec(step, rule.draw(rng)))
         runs.append(faults)
         ct = composed_with_faults(cfg.plaintext, ks, faults)
-        records.append(CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, bool(faults)))
+        records.append(CiphertextRecord(cfg.plaintext, ct, offset, cfg.width, cfg.slot, ct != clean))
     return records, runs
 
 
@@ -434,6 +443,14 @@ class TestParseConfig:
                 "entry weights must have a finite total",
             ),
             ("offset 1e309 = round=12 op=MixColumns", "glitch offsets must be finite, got inf"),
+            ("static_op = MixColumns\nstatic_round = 99", "round 99 out of range 0..14"),
+            ("static_op = MixColumns\nstatic_round = 14", "the last round has no MixColumns"),
+            ("static_round = 12\nstatic_op = Bogus", "unknown AES operation 'Bogus'"),
+            ("offset 273 = round=12 op=MixColumns bits", "expected key=value tokens, got 'bits'"),
+            ("offset 273 = round=12 op=MixColumns mask=1 flip=2", "unknown offset fields: flip, mask"),
+            ("offset 273 = op=MixColumns bits=1", "offset entry needs round="),
+            ("samples 8", "expected key = value"),
+            ("seed = 12", "duplicate key 'seed'"),
         ],
     )
     def test_malformed_line_is_named(self, extra, message):

@@ -307,6 +307,31 @@ class TestAttack:
         assert result.exit_code == 2
         assert "line 14" in result.output
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda raw: raw.update(plaintext="ff" * 16),
+                "records mix plaintexts; the attack needs a fixed-plaintext campaign",
+            ),
+            (lambda raw: raw.update(faulted=True), "no clean record found; pass --plaintext and --clean-ct"),
+        ],
+        ids=["mixed-plaintexts", "no-clean-record"],
+    )
+    def test_campaign_without_one_clean_reference_exits_2(self, runner, tmp_path, edit, message):
+        # the baseline is the campaign's one clean record: it gets another
+        # plaintext, or is marked faulted
+        out = simulate_to(runner, tmp_path)
+        lines = out.read_text().splitlines()
+        raw = json.loads(lines[0])
+        edit(raw)
+        lines[0] = json.dumps(raw)
+        out.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines()[-1] == f"error: {message}"
+        assert result.stdout == ""
+
     def test_missing_offsets_usage_error(self, runner, tmp_path):
         out = simulate_to(runner, tmp_path)
         result = runner.invoke(main, ["attack", str(out)])

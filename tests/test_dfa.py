@@ -193,6 +193,10 @@ class TestLastRoundKey:
         assert again.candidates == plain.candidates and again.keys == plain.keys
         assert calls == [] and len(memo) == 4
 
+    def test_unknown_conflict_mode_rejected(self):
+        with pytest.raises(ValueError, match="^on_conflict must be 'raise' or 'skip', got 'bogus'$"):
+            last_round_key(bytes(16), [], on_conflict="bogus")
+
     def test_empty_list_is_unconstrained(self):
         result = last_round_key(bytes(16), [])
         assert result.key is None
@@ -303,6 +307,19 @@ class TestSingleColumnKey:
         with pytest.raises(ValueError, match="spans 4"):
             single_column_key(ref, [wide])
 
+    def test_no_faulty_ciphertext_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one faulty ciphertext$"):
+            single_column_key(bytes(16), [])
+
+    def test_faults_in_different_groups_rejected(self):
+        rng = random.Random(45)
+        ks, pt, ref, _ = make_pair(rng)
+        # state bytes 0 and 5 sit in columns 0 and 1
+        cts = [encrypt_with_faults(pt, ks, [byte_fault(13, pos, 0x3C)]) for pos in (0, 5)]
+        assert touched_groups(ref, cts[0]) != touched_groups(ref, cts[1])
+        with pytest.raises(ValueError, match="^faulty ciphertexts target different diagonal groups$"):
+            single_column_key(ref, cts)
+
     def test_repeated_fault_adds_nothing(self):
         rng = random.Random(43)
         key = bytes(rng.randrange(256) for _ in range(32))
@@ -314,6 +331,24 @@ class TestSingleColumnKey:
         twice = single_column_key(ref, [ct, ct])
         assert once.candidates == twice.candidates
         assert twice.key is None  # one effective fault rarely pins 4 bytes
+
+
+def _penultimate(ref, cts):
+    return penultimate_round_key(ref, cts, bytes(16))
+
+
+@pytest.mark.parametrize("solve", [last_round_key, single_column_key, _penultimate])
+@pytest.mark.parametrize("length", [15, 17])
+@pytest.mark.parametrize("which", ["reference", "faulty"])
+def test_block_length_is_checked(solve, length, which):
+    # a 15-byte block used to raise IndexError, a 17-byte one to lose its tail
+    _, _, ref, ct = make_pair(random.Random(46))
+    if which == "reference":
+        ref = (ref + ref)[:length]
+    else:
+        ct = (ct + ct)[:length]
+    with pytest.raises(ValueError, match=f"^ciphertext must be 16 bytes, got {length}$"):
+        solve(ref, [ct])
 
 
 class TestPenultimateRoundKey:

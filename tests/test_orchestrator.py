@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 from math import comb
 
@@ -267,6 +268,21 @@ class TestRecoverKey:
         for budget in (0, -5):
             with pytest.raises(ValueError, match=f"^max_groupings must be at least 1, got {budget}$"):
                 recover_key(CLEAN, [CLEAN], [CLEAN], PT, max_groupings=budget)
+
+    @pytest.mark.parametrize("length", [15, 17])
+    @pytest.mark.parametrize("name, index", [("clean_ct", None), ("pt", None), ("r2_cts", 1), ("r3_cts", 0)])
+    def test_block_length_is_checked_before_the_search(self, monkeypatch, name, index, length):
+        # a 15-byte plaintext used to end as "stage last_round exhausted"
+        clean, r2, r3 = fault_campaign(KEY, PT, random.Random(121), n_r2=3, n_r3=3)
+        args = {"clean_ct": clean, "pt": PT, "r2_cts": list(r2), "r3_cts": list(r3)}
+        odd = (PT + PT)[:length]
+        if index is None:
+            args[name], label = odd, name
+        else:
+            args[name][index], label = odd, f"{name}[{index}]"
+        monkeypatch.setattr(orchestrator, "_run_attack", lambda *a: pytest.fail("the search started"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(label)} must be 16 bytes, got {length}$"):
+            recover_key(**args)
 
     def test_search_stops_at_the_first_verified_key(self, monkeypatch):
         rng = random.Random(141)
