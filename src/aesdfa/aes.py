@@ -20,10 +20,11 @@ The clean trace of the last few (plaintext, key schedule) pairs is cached:
 first tapped step instead of rerunning the rounds before the fault.
 There are two cipher cores, one per direction, and both are packed: each
 runs N blocks back to back in one buffer with a fixed number of operations
-per step. The forward core serves `encrypt_block`, the clean trace and
-`cipher_with_taps`, whose masks may carry one fault pattern per lane, so a
-whole campaign's faulted runs encrypt as one batch. The inverse core serves
-`decrypt_block`, faulted decrypts and the localizer's `decrypt_traces`.
+per step. The forward core serves `encrypt_block` and the clean trace,
+the inverse core `decrypt_block` and the localizer's `decrypt_traces`.
+`cipher_with_taps` runs a list of faulted runs on either core, each run in
+a lane of its own, so a whole campaign's faulted runs encrypt as a few
+packed calls; it alone builds the per-lane tap masks.
 
 Everything here is pure and value-based; results are safe to share across
 threads.
@@ -35,7 +36,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "AesOp",
@@ -420,6 +421,8 @@ _STEPS = {
 _STEP_INDEX = {n: {step: i for i, step in enumerate(steps)} for n, steps in _STEPS.items()}
 # clean traces kept for reuse: a campaign encrypts one plaintext many times
 _TRACE_CACHE_SIZE = 32
+# faulted runs per packed core call: at most 16 KB of masks per tapped step
+_BATCH = 1024
 
 
 def _cipher(state: bytes, n: int, ks: KeySchedule, start: int = 0, taps=None, trace=None) -> bytes:
@@ -511,34 +514,49 @@ def encrypt_trace(pt: bytes, ks: KeySchedule) -> tuple[bytes, Trace]:
     return _clean_trace(bytes(pt), ks)
 
 
-def cipher_with_taps(block: bytes, ks: KeySchedule, taps: dict, *, inverse: bool = False) -> bytes:
-    """Encrypt `block`, or decrypt it with `inverse`, XORing each tap mask
-    into the state entering its encryption-direction step.
+def cipher_with_taps(block: bytes, ks: KeySchedule, runs: Iterable[Iterable[tuple[StepId, bytes]]], *,
+                     inverse: bool = False) -> list[bytes]:
+    """Encrypt `block`, or decrypt it with `inverse`, once per run, XORing
+    each of the run's (step, mask) taps into the state entering its
+    encryption-direction step; one run's masks on one step combine by XOR.
 
-    A mask holds 16 bytes per lane: masks of 16n bytes run `block` in n
-    lanes at once, lane j faulted by bytes 16j..16j+15 of each mask, and
-    the result holds the n outputs back to back. Without taps there is one
-    lane. Encryption resumes from the cached clean trace at the earliest
-    tapped step, so a fault late in the cipher costs only the rounds after
-    it. Raises ValueError for a tap at a step this cipher lacks, and for
-    masks of differing lengths or of no whole number of lanes.
+    Returns one output per run, in order; an empty run is a clean run.
+    Runs go `_BATCH` to one call of the packed core, run j of a call in
+    lane j, and forward calls resume from the cached clean trace at the
+    call's earliest tapped step, so a fault late in the cipher costs only
+    the rounds after it. Every run is checked before any is run: ValueError
+    for a tap at a step this cipher lacks, then for the block's length,
+    then for a mask that is not 16 bytes.
     """
-    for step in taps:
+    runs = [tuple(run) for run in runs]
+    every_tap = [tap for run in runs for tap in run]
+    for step, _ in every_tap:
         step.validate(ks.n_rounds)
     _check_block(block, "ciphertext" if inverse else "plaintext")
-    sizes = {len(mask) for mask in taps.values()} or {16}
-    size = sizes.pop()
-    if sizes or not size or size % 16:
-        raise ValueError("tap masks must all hold 16 bytes per lane, one length for all")
-    n = size // 16
+    for _, mask in every_tap:
+        if len(mask) != 16:
+            raise ValueError(f"tap masks must be 16 bytes, got {len(mask)}")
     block = bytes(block)
-    if inverse:
-        return _inv_cipher(block * n, n, ks, taps)
     index = _STEP_INDEX[ks.n_rounds]
-    start = min(index[step] for step in taps) if taps else 0
-    if start:
-        block = _clean_trace(block, ks)[1][start - 1].state
-    return _cipher(block * n, n, ks, start, taps)
+    outputs = []
+    for first in range(0, len(runs), _BATCH):
+        batch = runs[first:first + _BATCH]
+        n = len(batch)
+        lanes: dict[StepId, list[bytes]] = {}
+        for j, run in enumerate(batch):
+            for step, mask in run:
+                if step not in lanes:
+                    lanes[step] = [bytes(16)] * n
+                lanes[step][j] = xor_bytes(lanes[step][j], mask)
+        taps = {step: b"".join(masks) for step, masks in lanes.items()}
+        if inverse:
+            out = _inv_cipher(block * n, n, ks, taps)
+        else:
+            start = min(map(index.__getitem__, taps), default=0)
+            state = _clean_trace(block, ks)[1][start - 1].state if start else block
+            out = _cipher(state * n, n, ks, start, taps)
+        outputs += [out[i:i + 16] for i in range(0, len(out), 16)]
+    return outputs
 
 
 def peel_final_round(ct: bytes, k_last: bytes) -> bytes:

@@ -107,12 +107,9 @@ def build_profile(ks: KeySchedule, records: Iterable[CiphertextRecord]) -> Offse
     return OffsetProfile(per_offset=dict(sorted(per_offset.items())))
 
 
-def recommend_offsets(
-    profile: OffsetProfile,
-    target_rounds: Sequence[int],
-    op: AesOp = AesOp.MIX_COLUMNS,
-) -> dict:
-    """Pick, per target round, the offset with the best single-byte hit rate.
+def recommend_offsets(profile: OffsetProfile, target_rounds: Sequence[int]) -> dict:
+    """Pick, per target round, the offset with the best single-byte hit rate
+    at that round's MixColumns.
 
     Ties resolve to the lower offset. Raises NoViableOffset when no offset
     ever produced a single-byte fault at a requested round.
@@ -121,7 +118,7 @@ def recommend_offsets(
         raise NoViableOffset("the profile contains no offsets")
     chosen = {}
     for rnd in target_rounds:
-        step = StepId(rnd, op)
+        step = StepId(rnd, AesOp.MIX_COLUMNS)
         best = max(
             sorted(profile.per_offset),
             key=lambda n: (profile.per_offset[n].single_byte_rate_at(step), -n),

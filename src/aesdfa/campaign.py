@@ -25,13 +25,11 @@ from typing import IO, Callable, Iterable
 from .aes import (
     ROUNDS_BY_KEY_LEN,
     AesOp,
-    KeySchedule,
     StepId,
     bytes_from_hex,
     cipher_with_taps,
     encrypt_trace,
     expand_key,
-    xor_bytes,
 )
 
 __all__ = [
@@ -47,12 +45,6 @@ __all__ = [
     "quantize_offset",
     "parse_config",
 ]
-
-
-# glitched runs per packed encryption: bounds a batch's masks at 16 KB per
-# tapped step, whatever the campaign size
-_BATCH = 1024
-_NO_MASK = bytes(16)
 
 
 def quantize_offset(n: float) -> float:
@@ -226,13 +218,13 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     configured, lands in every glitched run at the drawn step (or at its
     own pinned step). The random draw sequence does not depend on the
     static mask, so campaigns differing only in it stay sample-aligned.
-    All draws come first; the faulted runs then encrypt as packed batches.
+    All draws come first; `cipher_with_taps` then runs the tapped ones, packed.
     A record is marked faulted when its ciphertext differs from the clean one.
     """
     draws = _draw_samples(cfg)
     ks = expand_key(cfg.key)
     clean_ct, _ = encrypt_trace(cfg.plaintext, ks)
-    faulty = iter(_run_samples(cfg.plaintext, ks, [taps for _, taps in draws if taps]))
+    faulty = iter(cipher_with_taps(cfg.plaintext, ks, [taps for _, taps in draws if taps]))
     records = [CiphertextRecord(cfg.plaintext, clean_ct, None, None, cfg.slot, False)]
     for offset, taps in draws:
         ct = next(faulty) if taps else clean_ct
@@ -240,10 +232,10 @@ def generate_campaign(cfg: CampaignConfig) -> list[CiphertextRecord]:
     return records
 
 
-def _draw_samples(cfg: CampaignConfig) -> list[tuple[float, dict[StepId, bytes]]]:
-    """Each glitched run's offset and taps (step -> 16-byte mask, the static
-    and dynamic masks XORed where they share a step; empty for a clean run),
-    in the campaign's one seeded draw order."""
+def _draw_samples(cfg: CampaignConfig) -> list[tuple[float, list[tuple[StepId, bytes]]]]:
+    """Each glitched run's offset and taps, (step, 16-byte mask) pairs: the
+    static mask's first, then the dynamic fault's if it fires; none for a
+    clean run. In the campaign's one seeded draw order."""
     rng = random.Random(cfg.seed)
     offsets = sorted(cfg.offsets)
     samplers = {n: behavior.sampler() for n, behavior in cfg.offsets.items()}
@@ -251,31 +243,13 @@ def _draw_samples(cfg: CampaignConfig) -> list[tuple[float, dict[StepId, bytes]]
     for _ in range(cfg.samples):
         offset = offsets[0] if len(offsets) == 1 else rng.choice(offsets)
         step, rule = samplers[offset](rng)
-        taps = {}
+        taps = []
         if cfg.static_mask is not None:
-            taps[cfg.static_step or step] = cfg.static_mask
+            taps.append((cfg.static_step or step, cfg.static_mask))
         if rng.random() < cfg.fault_rate:
-            mask = rule.draw(rng)
-            taps[step] = xor_bytes(taps[step], mask) if step in taps else mask
+            taps.append((step, rule.draw(rng)))
         draws.append((offset, taps))
     return draws
-
-
-def _run_samples(pt: bytes, ks: KeySchedule, runs: list[dict[StepId, bytes]]) -> list[bytes]:
-    """The faulty ciphertext of each run, `_BATCH` runs to one packed
-    encryption whose lane j carries run j's masks."""
-    cts = []
-    for start in range(0, len(runs), _BATCH):
-        batch = runs[start:start + _BATCH]
-        lanes: dict[StepId, list[bytes]] = {}
-        for j, taps in enumerate(batch):
-            for step, mask in taps.items():
-                if step not in lanes:
-                    lanes[step] = [_NO_MASK] * len(batch)
-                lanes[step][j] = mask
-        out = cipher_with_taps(pt, ks, {step: b"".join(masks) for step, masks in lanes.items()})
-        cts.extend(out[i:i + 16] for i in range(0, len(out), 16))
-    return cts
 
 
 def records_to_lines(records: Iterable[CiphertextRecord]) -> str:
@@ -313,9 +287,10 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
         for name in ("n", "m"):
             if raw[name] is not None and not _finite_number(raw[name]):
                 raise RecordFormatError(line_no, f"{name} must be a finite number or null")
+        offset = None
         if raw["n"] is not None:
             try:
-                quantize_offset(float(raw["n"]))
+                offset = quantize_offset(float(raw["n"]))
             except ValueError:
                 raise RecordFormatError(line_no, f"n must be on the quarter-cycle grid, got {raw['n']}") from None
         if isinstance(raw["slot"], bool) or not isinstance(raw["slot"], int):
@@ -331,7 +306,7 @@ def read_records(fp: IO[str]) -> list[CiphertextRecord]:
             CiphertextRecord(
                 plaintext=plaintext,
                 ciphertext=ciphertext,
-                offset_n=None if raw["n"] is None else float(raw["n"]),
+                offset_n=offset,
                 width_m=None if raw["m"] is None else float(raw["m"]),
                 slot=raw["slot"],
                 faulted=raw["faulted"],

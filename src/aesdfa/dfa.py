@@ -358,7 +358,6 @@ def penultimate_round_key(
     faulty_cts: Sequence[bytes],
     k_last: bytes,
     *,
-    on_conflict: str = "raise",
     memo: dict | None = None,
 ) -> DfaResult:
     """Recover the round key before the last from faults one round earlier.
@@ -367,11 +366,11 @@ def penultimate_round_key(
     with `k_last`, runs the last-round attack on the shortened cipher, and
     converts its recovered keys (InvMixColumns of the target) back via
     MixColumns. With a wrong `k_last` the peeled differences stop looking
-    like single-byte faults and the attack reports inconsistency instead.
+    like single-byte faults, and the attack raises InconsistentPairError.
     `memo` goes to last_round_key; keyed on peeled bytes, it serves every `k_last`.
     """
     peeled_ref = peel_final_round(ref_ct, k_last)
     peeled = [peel_final_round(ct, k_last) for ct in faulty_cts]
-    result = last_round_key(peeled_ref, peeled, on_conflict=on_conflict, memo=memo)
+    result = last_round_key(peeled_ref, peeled, memo=memo)
     result.keys = [mix_columns(key) for key in result.keys]
     return result

@@ -64,8 +64,8 @@ class KeyslotEngine:
     slots: dict[int, KeySlot] = field(default_factory=dict)
     last_output: bytes = bytes(16)
 
-    def add_slot(self, slot_id: int, key: bytes, master: bool = False, enabled: bool = True) -> None:
-        self.slots[slot_id] = KeySlot(key=key, master=master, enabled=enabled)
+    def add_slot(self, slot_id: int, key: bytes, master: bool = False) -> None:
+        self.slots[slot_id] = KeySlot(key=key, master=master)
 
     def _resolve_key(self, key_source, key_size: int) -> tuple[bytes, KeySlot | None]:
         key_len = key_size // 8

@@ -5,7 +5,7 @@ Faults are always expressed against the encryption-direction dataflow: for
 decrypt runs the mask is injected when the inverse computation passes the
 same state boundary, so both directions produce mutually consistent
 artifacts (re-encrypting a faulted decrypt output reproduces the faulted
-encrypt output).
+encrypt output). Both directions are one run of `aes.cipher_with_taps`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .aes import KeySchedule, StepId, cipher_with_taps, xor_bytes
+from .aes import KeySchedule, StepId, cipher_with_taps
 
 __all__ = [
     "FaultSpec",
@@ -36,21 +36,13 @@ class FaultSpec:
             raise ValueError("fault mask must be nonzero")
 
 
-def _merged_taps(faults: Iterable[FaultSpec]) -> dict[StepId, bytes]:
-    taps: dict[StepId, bytes] = {}
-    for fault in faults:
-        prev = taps.get(fault.step)
-        taps[fault.step] = fault.mask if prev is None else xor_bytes(prev, fault.mask)
-    return taps
-
-
 def encrypt_with_faults(pt: bytes, ks: KeySchedule, faults: Iterable[FaultSpec]) -> bytes:
     """Forward cipher with each fault XORed in just before its step.
 
     An empty fault list reproduces the plain encryption. Masks landing on
     the same step combine by XOR.
     """
-    return cipher_with_taps(pt, ks, _merged_taps(faults))
+    return cipher_with_taps(pt, ks, [[(f.step, f.mask) for f in faults]])[0]
 
 
 def decrypt_with_faults(ct: bytes, ks: KeySchedule, faults: Iterable[FaultSpec]) -> bytes:
@@ -59,4 +51,4 @@ def decrypt_with_faults(ct: bytes, ks: KeySchedule, faults: Iterable[FaultSpec])
     The returned block re-encrypts to exactly encrypt_with_faults applied
     to the clean decryption of `ct`.
     """
-    return cipher_with_taps(ct, ks, _merged_taps(faults), inverse=True)
+    return cipher_with_taps(ct, ks, [[(f.step, f.mask) for f in faults]], inverse=True)[0]

@@ -426,6 +426,18 @@ class TestAttack:
         )
         assert result.exit_code == 0, result.output
 
+    def test_record_offset_within_tolerance_snaps(self, runner, tmp_path):
+        # records carry the snapped offset that recommend reports, so the flag matches them
+        out = simulate_to(runner, tmp_path)
+        text = out.read_text()
+        assert '"n": 271.5,' in text
+        out.write_text(text.replace('"n": 271.5,', '"n": 271.50000000001,'))
+        report = tmp_path / "report.json"
+        args = ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25", "-o", str(report)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(report.read_text())["recovered_key"] == KEY.hex()
+
 
 def test_import_leaves_out_numpy_and_cryptography():
     # only the bust command needs them; every other command, and the

@@ -62,9 +62,10 @@ def test_taps_at_steps_the_cipher_lacks_raise(inverse):
         (StepId(13, AesOp.MIX_COLUMNS), "round 13 out of range 0..10"),
         (StepId(10, AesOp.MIX_COLUMNS), "the last round has no MixColumns"),
     ]:
-        for taps in ({foreign: mask}, {StepId(9, AesOp.MIX_COLUMNS): mask, foreign: mask}):
+        good = (StepId(9, AesOp.MIX_COLUMNS), mask)
+        for runs in ([[(foreign, mask)]], [[good, (foreign, mask)]], [[good], [], [(foreign, mask)]]):
             with pytest.raises(ValueError, match=f"^{text}$"):
-                cipher_with_taps(PT, ks128, taps, inverse=inverse)
+                cipher_with_taps(PT, ks128, runs, inverse=inverse)
 
 
 def test_round_13_fault_hits_one_diagonal_group():
@@ -158,9 +159,7 @@ def test_faulted_cipher_matches_step_by_step_composition(run, inverse):
     # twice: the first forward run may fill the clean-trace cache, the second reads it
     assert cipher(block, ks, faults) == expected
     assert cipher(block, ks, faults) == expected
-    if len({f.step for f in faults}) == len(faults):
-        taps = {f.step: f.mask for f in faults}
-        assert cipher_with_taps(block, ks, taps, inverse=inverse) == expected
+    assert cipher_with_taps(block, ks, [[(f.step, f.mask) for f in faults]], inverse=inverse) == [expected]
     # the packed forward core undoes the packed inverse core, faults and all
     assert encrypt_with_faults(decrypt_with_faults(block, ks, faults), ks, faults) == block
 
@@ -197,23 +196,37 @@ def test_lane_taps_match_step_by_step_composition(lanes, run, inverse, rng):
     # lane 0 runs the first fault list, every other lane a random one of them
     ks, block, patterns = run
     chosen = [0] + [rng.randrange(len(patterns)) for _ in range(lanes - 1)]
-    taps: dict = {}
-    for j, index in enumerate(chosen):
-        for fault in patterns[index]:
-            buf = taps.setdefault(fault.step, bytearray(16 * lanes))
-            buf[16 * j:16 * j + 16] = xor_bytes(bytes(buf[16 * j:16 * j + 16]), fault.mask)
-    out = cipher_with_taps(block, ks, {step: bytes(buf) for step, buf in taps.items()}, inverse=inverse)
+    runs = [[(f.step, f.mask) for f in patterns[index]] for index in chosen]
     expected = [composed_with_faults(block, ks, faults, inverse) for faults in patterns]
-    assert [out[16 * j:16 * j + 16] for j in range(lanes)] == [expected[index] for index in chosen]
+    assert cipher_with_taps(block, ks, runs, inverse=inverse) == [expected[index] for index in chosen]
 
 
-def test_tap_masks_must_share_a_whole_number_of_lanes():
-    steps = (StepId(12, AesOp.MIX_COLUMNS), StepId(13, AesOp.SUB_BYTES))
-    for lengths in ((16, 32), (15,), (40,), (0,), (48, 32)):
-        taps = {step: bytes([1]) * size for step, size in zip(steps, lengths)}
-        for inverse in (False, True):
-            with pytest.raises(ValueError, match="^tap masks must all hold 16 bytes per lane, one length for all$"):
-                cipher_with_taps(PT, KS, taps, inverse=inverse)
+def test_tap_masks_must_be_16_bytes():
+    good = (StepId(12, AesOp.MIX_COLUMNS), byte_mask(0, 1))
+    for size in (0, 15, 17, 32):
+        for runs in ([[(StepId(13, AesOp.SUB_BYTES), bytes([1]) * size)]], [[good], [good, (good[0], bytes(size))]]):
+            for inverse in (False, True):
+                with pytest.raises(ValueError, match=f"^tap masks must be 16 bytes, got {size}$"):
+                    cipher_with_taps(PT, KS, runs, inverse=inverse)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 7])
+def test_batches_split_runs_without_changing_outputs(monkeypatch, count, inverse):
+    monkeypatch.setattr(aes, "_BATCH", 3)
+    rng = random.Random(count)
+    steps = _STEPS[KS.n_rounds]
+    runs = [[FaultSpec(rng.choice(steps), rng.randbytes(16)) for _ in range(rng.randrange(3))] for _ in range(count)]
+    taps = [[(f.step, f.mask) for f in faults] for faults in runs]
+    expected = [composed_with_faults(PT, KS, faults, inverse) for faults in runs]
+    assert cipher_with_taps(PT, KS, taps, inverse=inverse) == expected
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_an_empty_run_is_clean(inverse):
+    clean = composed_with_faults(PT, KS, [], inverse)
+    assert cipher_with_taps(PT, KS, [[]], inverse=inverse) == [clean]
+    assert cipher_with_taps(PT, KS, [], inverse=inverse) == []
 
 
 def test_wrong_length_blocks_keep_their_errors():

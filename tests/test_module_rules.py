@@ -46,7 +46,11 @@ ALLOWED = {
     "engine.SlotError": "the exception KeyslotEngine raises",
     "localizer.LocalizationReport": "the type localize returns",
     "orchestrator.AttackReport": "the type recover_key returns",
+    # parameters with a default that no caller sets: module.function.param
+    "dfa.column_candidates.tables": "acceptance criterion 9 runs the solver on the toy cipher's tables",
+    "dfa.last_round_key.on_conflict": "acceptance criteria 2 and 8 drop inconsistent pairs with 'skip'",
 }
+CALLERS = [*TREES.values(), *(ast.parse(p.read_text()) for p in [*ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py")])]
 
 
 def exports(tree: ast.Module) -> list[str]:
@@ -147,6 +151,48 @@ def unlisted_imports(module: str, trees: dict) -> list[str]:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def defaulted_parameters(tree: ast.Module) -> dict[str, tuple[ast.AST, str]]:
+    """`function.param`, or `Class.method.param`, for every parameter with a
+    default of a function in __all__ or a public method of a class in
+    __all__, mapped to (the function's node, the parameter's name)."""
+    functions = []
+    for node in tree.body:
+        if getattr(node, "name", None) not in exports(tree):
+            continue
+        if isinstance(node, ast.ClassDef):
+            functions += [
+                (f"{node.name}.{fn.name}", fn) for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            ]
+        elif isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+    found = {}
+    for name, fn in functions:
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        with_defaults = positional[len(positional) - len(fn.args.defaults):]
+        with_defaults += [a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        found.update({f"{name}.{arg.arg}": (fn, arg.arg) for arg in with_defaults})
+    return found
+
+
+def unset_defaults(module: str, trees: dict, callers: list, allowed: dict = ALLOWED) -> list[str]:
+    """Parameters with a default that no call outside the function passes by
+    keyword, and that `allowed` does not list.
+
+    A call matches on the keyword's name alone, whatever it calls, so a
+    same-named keyword passed to another function hides an unset default.
+    """
+    keywords = [(call, kw.arg) for tree in callers for call in ast.walk(tree)
+                if isinstance(call, ast.Call) for kw in call.keywords]
+    unset = []
+    for name, (fn, param) in defaulted_parameters(trees[module]).items():
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(arg == param and id(call) not in own for call, arg in keywords):
+            unset.append(f"{module}.{name}")
+    return [key for key in unset if key not in allowed]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_names_are_defined(path):
     assert undefined_exports(ast.parse(path.read_text())) == []
 
@@ -167,13 +213,20 @@ def test_every_export_has_a_user(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_default_has_a_caller(path):
+    assert unset_defaults(path.stem, TREES, CALLERS) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sibling_imports_are_exported(path):
     assert unlisted_imports(path.stem, TREES) == []
 
 
 def test_allowlist_names_exports():
-    # a name that leaves __all__ leaves the allowlist too
+    # a name that leaves __all__, or a parameter that loses its default, leaves the allowlist too
     assert [key for key in ALLOWED if key.split(".")[1] not in exports(TREES[key.split(".")[0]])] == []
+    params = [key.split(".", 1) for key in ALLOWED if key.count(".") > 1]
+    assert [f"{m}.{p}" for m, p in params if p not in defaulted_parameters(TREES[m])] == []
 
 
 def test_rules_catch_violations():
@@ -192,3 +245,12 @@ def test_rules_catch_violations():
     allowed = {"aes.sub_bytes": "a single cipher-core operation"}
     assert unused_exports("aes", trees, {"in_readme"}, allowed) == ["lonely"]
     assert unlisted_imports("dfa", trees) == ["aes.hidden"]
+
+    trees["dfa"] = ast.parse(
+        '__all__ = ["solve", "C"]\n'
+        "def solve(a, b=1, *, c=2, d, e=3):\n    solve(a, b=2)\n"
+        "class C:\n    def run(self, x=0): pass\n    def _hidden(self, y=0): pass\n"
+        "def _private(z=0): pass\n"
+    )
+    caller = ast.parse("solve(1, c=3)\nC().run(x=1)\n")
+    assert unset_defaults("dfa", trees, [*trees.values(), caller], {"dfa.solve.e": "a reason"}) == ["dfa.solve.b"]
