@@ -315,7 +315,6 @@ def bytes_from_hex(text: str, name: str, sizes: tuple[int, ...]) -> bytes:
 class KeySchedule:
     """Expanded round keys K_0..K_N, each 16 bytes in FIPS layout."""
 
-    key_size: int  # bits: 128, 192 or 256
     round_keys: tuple[bytes, ...]
 
     @property
@@ -323,14 +322,10 @@ class KeySchedule:
         return len(self.round_keys) - 1
 
     def __post_init__(self):
-        n = ROUNDS_BY_KEY_LEN.get(self.key_size // 8)
-        if n is None or self.key_size % 8:
-            raise ValueError(f"key_size must be 128, 192 or 256 bits, got {self.key_size}")
-        if len(self.round_keys) != n + 1:
-            raise ValueError(f"AES-{self.key_size} needs {n + 1} round keys, got {len(self.round_keys)}")
-        for rk in self.round_keys:
-            if len(rk) != 16:
-                raise ValueError("round keys must be 16 bytes")
+        if self.n_rounds not in ROUNDS_BY_KEY_LEN.values():
+            raise ValueError(f"AES needs 11, 13 or 15 round keys, got {len(self.round_keys)}")
+        if any(len(rk) != 16 for rk in self.round_keys):
+            raise ValueError("round keys must be 16 bytes")
 
 
 def _word_step(prev: list[int], i: int, nk: int) -> list[int]:
@@ -364,7 +359,7 @@ def expand_key(key: bytes) -> KeySchedule:
         bytes(b for w in words[4 * r:4 * r + 4] for b in w)
         for r in range(len(words) // 4)
     )
-    return KeySchedule(key_size=len(key) * 8, round_keys=round_keys)
+    return KeySchedule(round_keys=round_keys)
 
 
 def invert_key_schedule(key_size: int, trailing_keys: Sequence[bytes]) -> bytes:

@@ -76,47 +76,46 @@ DIAGONAL_GROUPS = tuple(DiagonalGroup(g, tuple(4 * ((g - i) % 4) + i for i in ra
 
 @dataclass(frozen=True)
 class CipherTables:
-    """Solver parameters: inverse S-box, field multiply, value range.
+    """Solver parameters: inverse S-box and field multiply.
 
-    The defaults describe AES; narrower instances (reduced S-box width)
-    plug in here so the same candidate logic can be checked exhaustively.
+    The values range over len(inv_sbox): 256 for AES, 16 for the 4-bit toy
+    cipher the tests check the same candidate logic on exhaustively. Both
+    column_candidates and _filter_tuples read the one table set `_tables`,
+    built on first use.
     """
 
     inv_sbox: tuple[int, ...]
     mul: Callable[[int, int], int]
-    n_values: int = 256
 
     @cached_property
-    def _coeff_tables(self) -> tuple[dict[int, list[int]], dict[int, dict[int, int]]]:
-        """Per MixColumns coefficient c: c*eps by eps, and nonzero eps by c*eps."""
-        times = {c: [self.mul(c, eps) for eps in range(self.n_values)] for c in (1, 2, 3)}
-        return times, {c: {d: eps for eps, d in enumerate(t) if eps} for c, t in times.items()}
+    def _tables(self) -> tuple[list[int], list[bytes], list[tuple[int, int, int]], bytes]:
+        """256-byte tables of the fault equation; entries past len(inv_sbox) are 0.
 
-    @cached_property
-    def _filter_tables(self) -> tuple[list[int], list[bytes], list[tuple[int, int, int]], bytes]:
-        """256-byte tables for _filter_tuples; entries past n_values are 0.
-
-        Per value b, the row k -> inv_sbox[b ^ k] as a little-endian int; one
-        table d -> (c / c_0) * d per distinct coefficient ratio, and per fault
-        row the indices of its ratios for positions 1..3; and the table that
-        maps 0 to 1 and every other byte to 0.
+        Per value b, the row k -> inv_sbox[b ^ k] as a little-endian int, so
+        rows[r] ^ rows[f] maps each key byte to its differential; one table
+        d -> (c / c_0) * d per distinct coefficient ratio, and per fault row
+        the indices of its ratios for positions 1..3; and the table that maps
+        0 to 1 and every other byte to 0.
         """
-        times, div = self._coeff_tables
+        n = len(self.inv_sbox)
         inv = bytes(self.inv_sbox).ljust(256, b"\0")
         identity, ones = int.from_bytes(bytes(range(256)), "little"), int.from_bytes(b"\1" * 256, "little")
         rows = [
             int.from_bytes((identity ^ b * ones).to_bytes(256, "little").translate(inv), "little")
-            for b in range(self.n_values)
+            for b in range(n)
         ]
         index: dict[tuple[int, int], int] = {}
         fault_rows = [tuple(index.setdefault((c, c0), len(index)) for c in rest) for c0, *rest in _FAULT_COLUMNS]
-        scales = [
-            bytes(times[c][div[c0].get(d, 0)] for d in range(self.n_values)).ljust(256, b"\0") for c, c0 in index
-        ]
+        scales = []
+        for c, c0 in index:
+            scale = bytearray(256)
+            for eps in range(n):
+                scale[self.mul(c0, eps)] = self.mul(c, eps)
+            scales.append(bytes(scale))
         return rows, scales, fault_rows, b"\1".ljust(256, b"\0")
 
 
-_AES_TABLES = CipherTables(inv_sbox=INV_SBOX, mul=gf_mul, n_values=256)
+_AES_TABLES = CipherTables(inv_sbox=INV_SBOX, mul=gf_mul)
 
 
 @dataclass(frozen=True)
@@ -172,36 +171,35 @@ def column_candidates(
     """Key tuples for one group consistent with some single-fault hypothesis.
 
     Keeps the key tuples whose pre-SubBytes differentials match one fault
-    row and one nonzero fault value eps on all four positions, taking eps
-    as the first position's differential divided by its coefficient.
-    Returns an empty set when no hypothesis fits; callers treat that as
-    the inconsistent-pair signal.
+    row and one nonzero fault value eps on all four positions: with eps
+    the first position's differential d_0 over its coefficient c_0,
+    position i needs (c_i / c_0) * d_0. Reads the table set _filter_tuples
+    reads, CipherTables._tables. Returns an empty set when no hypothesis
+    fits; callers treat that as the inconsistent-pair signal.
     """
     if len(ref_bytes) != 4 or len(faulty_bytes) != 4:
         raise ValueError("group candidates need exactly 4 reference and 4 faulty bytes")
     if tuple(ref_bytes) == tuple(faulty_bytes):
         raise ValueError("reference and faulty bytes are identical: no information")
 
-    inv_sbox, n = tables.inv_sbox, tables.n_values
-    times, div = tables._coeff_tables
-    # per position: observed differential -> key bytes, shifted to the position's bits
+    rows, scales, fault_rows, _ = tables._tables
+    n = len(tables.inv_sbox)
+    # per position: differential -> key bytes, shifted to the position's bits
     by_diff: list[dict[int, list[int]]] = []
-    for i, (c, f) in enumerate(zip(ref_bytes, faulty_bytes)):
+    for i, (r, f) in enumerate(zip(ref_bytes, faulty_bytes)):
         solutions: dict[int, list[int]] = {}
-        for k in range(n):
-            solutions.setdefault(inv_sbox[c ^ k] ^ inv_sbox[f ^ k], []).append(k << 8 * i)
+        for k, d in enumerate((rows[r] ^ rows[f]).to_bytes(256, "little")[:n]):
+            solutions.setdefault(d, []).append(k << 8 * i)
         by_diff.append(solutions)
     first, second, third, fourth = by_diff
+    first.pop(0, None)  # a zero differential is no fault
     tuples: set[int] = set()
-    for c0, c1, c2, c3 in _FAULT_COLUMNS:
-        eps_of, times1, times2, times3 = div[c0], times[c1], times[c2], times[c3]
+    for a, b, c in fault_rows:
+        scale1, scale2, scale3 = scales[a], scales[b], scales[c]
         for d0, k0s in first.items():
-            eps = eps_of.get(d0)  # None for d0 = 0, which is no fault
-            if eps is None:
-                continue
-            k1s, k2s, k3s = second.get(times1[eps]), third.get(times2[eps]), fourth.get(times3[eps])
+            k1s, k2s, k3s = second.get(scale1[d0]), third.get(scale2[d0]), fourth.get(scale3[d0])
             if k1s and k2s and k3s:
-                tuples.update(a | b | c | d for a in k0s for b in k1s for c in k2s for d in k3s)
+                tuples.update(k0 | k1 | k2 | k3 for k0 in k0s for k1 in k1s for k2 in k2s for k3 in k3s)
     return ColumnCandidates(group, frozenset(tuples))
 
 
@@ -216,16 +214,16 @@ def _filter_tuples(
 ) -> array:
     """The members of `tuples` that column_candidates(ref, fault) enumerates, in their order.
 
-    Tests column_candidates's predicate on each tuple in bytes operations:
-    position i's key bytes translate through inv_sbox[ref_i ^ k] ^
-    inv_sbox[fault_i ^ k] to their differentials d_i, and a fault row fits
-    where d_0 times each coefficient ratio c_i / c_0 equals d_1..d_3. At a
-    position with ref_i == fault_i every d_i is 0 and no row fits, as no
-    nonzero eps does.
+    Tests column_candidates's predicate on each tuple in bytes operations,
+    over the same table set, CipherTables._tables: position i's key bytes
+    translate through inv_sbox[ref_i ^ k] ^ inv_sbox[fault_i ^ k] to their
+    differentials d_i, and a fault row fits where d_0 times each
+    coefficient ratio c_i / c_0 equals d_1..d_3. At a position with
+    ref_i == fault_i every d_i is 0 and no row fits, as no nonzero eps does.
     """
     if tuple(ref) == tuple(fault):
         raise ValueError("reference and faulty bytes are identical: no information")
-    rows, scales, fault_rows, is_zero = tables._filter_tables
+    rows, scales, fault_rows, is_zero = tables._tables
     buf, n = tuples.tobytes(), len(tuples)
     d0, *later = (
         buf[at :: tuples.itemsize].translate((rows[r] ^ rows[f]).to_bytes(256, "little"))

@@ -176,7 +176,10 @@ def _run_attack(
     try:
         for round_keys, members, earlier in chains():
             # invert_key_schedule takes the schedule tail, earliest round key first
-            key = invert_key_schedule(key_size, list(round_keys.values())[::-1])
+            try:
+                key = invert_key_schedule(key_size, list(round_keys.values())[::-1])
+            except ValueError:
+                continue  # an AES-192 tail that no key expands to: spurious
             if not verify_key(key, pt, clean_ct):
                 continue  # spurious solution; keep searching
             report.groupings_succeeded = 1

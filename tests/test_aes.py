@@ -8,6 +8,7 @@ from aesdfa.aes import (
     INV_SBOX,
     SBOX,
     AesOp,
+    KeySchedule,
     StepId,
     bytes_from_hex,
     decrypt_block,
@@ -94,6 +95,20 @@ class TestExpandKey:
     def test_rejects_bad_length(self, bad):
         with pytest.raises(ValueError, match="16, 24 or 32"):
             expand_key(bytes(bad))
+
+
+class TestKeySchedule:
+    @pytest.mark.parametrize("count", [0, 1, 10, 12, 14, 16])
+    def test_round_key_count_is_checked(self, count):
+        with pytest.raises(ValueError, match=f"AES needs 11, 13 or 15 round keys, got {count}$"):
+            KeySchedule(round_keys=(bytes(16),) * count)
+
+    @pytest.mark.parametrize("length", [0, 15, 17])
+    def test_round_key_length_is_checked(self, length):
+        round_keys = [bytes(16)] * 13
+        round_keys[5] = bytes(length)
+        with pytest.raises(ValueError, match="round keys must be 16 bytes"):
+            KeySchedule(round_keys=tuple(round_keys))
 
 
 class TestInvertKeySchedule:

@@ -75,6 +75,14 @@ class TestSimulate:
         assert result.stderr == f"error: line 7: {message}\n"
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_config_without_offsets_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in CONFIG.splitlines() if not line.startswith("offset")))
+        result = runner.invoke(main, ["simulate", str(cfg), "-o", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 0: config defines no glitch offsets\n"
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_config_error_leaves_no_output(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CONFIG + "offset 273 = round=99 op=MixColumns\n")
@@ -254,6 +262,29 @@ class TestAttack:
         assert first.exit_code == second.exit_code == 0
         assert first.stdout == second.stdout
 
+    def test_aes192_search_passes_a_tail_no_key_expands_to(self, runner, tmp_path):
+        # seed 158 gives a last/penultimate chain that is no AES-192 schedule tail
+        # before the true one; the search goes on past it, as past a failed verify
+        cfg = (
+            CONFIG.replace(KEY.hex(), KEY[:24].hex()).replace("seed = 4", "seed = 158")
+            .replace("round=12", "round=10").replace("round=11", "round=9")
+        )
+        out = simulate_to(runner, tmp_path, cfg)
+        args = ["attack", str(out), "--key-size", "192", "--r2-offset", "271.5", "--r3-offset", "272.25"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["recovered_key"] == KEY[:24].hex()
+
+    def test_blank_line_is_skipped(self, runner, tmp_path):
+        out = simulate_to(runner, tmp_path)
+        args = ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"]
+        plain = runner.invoke(main, args)
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n")
+        spaced = runner.invoke(main, args)
+        assert plain.exit_code == spaced.exit_code == 0, spaced.output
+        assert spaced.stdout == plain.stdout
+
     def test_split_with_key(self, runner, tmp_path):
         out = simulate_to(runner, tmp_path)
         result = runner.invoke(main, ["attack", str(out), "--split-with-key", KEY.hex()])
@@ -330,6 +361,16 @@ class TestAttack:
         result = runner.invoke(main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"])
         assert result.exit_code == 2, result.output
         assert result.stderr.splitlines()[-1] == f"error: {message}"
+        assert result.stdout == ""
+
+    def test_record_that_is_no_object_exits_2(self, runner, tmp_path):
+        out = simulate_to(runner, tmp_path)
+        lines = out.read_text().splitlines()
+        lines[2] = "[1, 2]"
+        out.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["attack", str(out), "--r2-offset", "271.5", "--r3-offset", "272.25"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 3: expected a JSON object\n"
         assert result.stdout == ""
 
     def test_missing_offsets_usage_error(self, runner, tmp_path):
@@ -452,13 +493,17 @@ def test_import_leaves_out_numpy_and_cryptography():
 
 
 def test_import_builds_no_solver_filter_tables():
-    # the solver builds its filter tables on first use, so no command pays for them at start-up
+    # the solver builds its tables on first use, so no command pays for them at start-up:
+    # after the import the AES tables hold their dataclass fields and no cached property
     src = str(Path(aesdfa.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import aesdfa.cli; from aesdfa.dfa import _AES_TABLES; print('_filter_tables' in _AES_TABLES.__dict__)"
+    code = (
+        "import dataclasses, aesdfa.cli; from aesdfa.dfa import _AES_TABLES; "
+        "print(sorted(_AES_TABLES.__dict__) == sorted(f.name for f in dataclasses.fields(_AES_TABLES)))"
+    )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "True"
 
 
 def spaced(text):
@@ -575,8 +620,9 @@ class TestBust:
              "chunk_bits must be 8, 16 or 32, got 24"),
             (lambda s: s.update(c9=s.pop("c8")), "blocks must be named c1..c8, got"),
             (lambda s: s.update(c01=s.pop("c1")), "blocks must be named c1..c8, got"),
+            (lambda s: [s.pop(f"c{i}") for i in range(2, 9)], "artifact object needs blocks c1..cN"),
         ],
-        ids=["fractional", "string", "bool", "24-bit", "gap", "leading-zero"],
+        ids=["fractional", "string", "bool", "24-bit", "gap", "leading-zero", "c1-only"],
     )
     def test_malformed_artifacts_name_their_set(self, runner, tmp_path, edit, message):
         # the second of two sets is malformed; nothing is busted

@@ -150,7 +150,6 @@ def unlisted_imports(module: str, trees: dict) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def defaulted_parameters(tree: ast.Module) -> dict[str, tuple[ast.AST, str]]:
     """`function.param`, or `Class.method.param`, for every parameter with a
     default of a function in __all__ or a public method of a class in

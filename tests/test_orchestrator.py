@@ -359,6 +359,15 @@ class TestAes192:
         report = recover_key(clean, r2, r3, PT, key_size=192, mode="pairwise")
         assert report.recovered_key == key192
 
+    def test_tail_no_key_expands_to_is_spurious(self):
+        # AES-192's two trailing round keys over-determine the key: seed 37
+        # solves to a chain that no key schedule ends in before the true one
+        rng = random.Random(37)
+        key192 = bytes(rng.randrange(256) for _ in range(24))
+        clean, r2, r3 = fault_campaign(key192, PT, rng, n_r2=2, n_r3=2)
+        report = recover_key(clean, r2, r3, PT, key_size=192, mode="pairwise")
+        assert report.recovered_key == key192
+
 
 def pinned_search(case):
     """(recover_key arguments, keyword arguments) of one pinned search, by name."""

@@ -30,7 +30,7 @@ def gf16_mul(a: int, b: int) -> int:
     return acc
 
 
-TOY_TABLES = CipherTables(inv_sbox=TOY_INV_SBOX, mul=gf16_mul, n_values=16)
+TOY_TABLES = CipherTables(inv_sbox=TOY_INV_SBOX, mul=gf16_mul)
 
 _MUL = np.array([[gf16_mul(a, b) for b in range(16)] for a in range(16)], dtype=np.uint8)
 # DIV[d, c] = the eps with mul(c, eps) == d, for c != 0
